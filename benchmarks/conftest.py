@@ -5,25 +5,38 @@ full length (120 s, as in §3.1) on both paths; the per-figure benches
 time the decode/regeneration step against those cached runs and check
 the figure's shape, printing paper-vs-measured rows.  One bench times
 the full end-to-end simulation itself.
-
-The session runs go through :mod:`repro.bench` — the same
-:func:`~repro.bench.scenarios.characterization_pair` helper and
-:func:`~repro.bench.runner.time_once` timer the ``repro bench``
-CLI uses — so pytest benches and the CI bench harness measure and
-report through one code path.
 """
 
 from __future__ import annotations
 
 import os
+import time
+from typing import Any, Callable, Dict, Tuple
 
 import pytest
 
-from repro.bench import BENCH_DURATION, BENCH_SEED, characterization_pair, time_once
+#: Seed and duration of the headline characterization runs (§3.1).
+BENCH_SEED = 3
+BENCH_DURATION = 120.0
 
-#: One seed for the headline runs (repeatability is its own bench).
-SEED = BENCH_SEED
-DURATION = BENCH_DURATION
+
+def time_once(fn: Callable[[], Any]) -> Tuple[float, Any]:
+    """Run ``fn`` once under ``perf_counter``; return (seconds, value)."""
+    start = time.perf_counter()
+    value = fn()
+    return time.perf_counter() - start, value
+
+
+def characterization_pair(kind: str, seed: int = BENCH_SEED,
+                          duration: float = BENCH_DURATION) -> Dict[str, object]:
+    """Run one workload on both paths (UMTS and Ethernet)."""
+    from repro import PATH_ETHERNET, PATH_UMTS, cbr, run_characterization, voip_g711
+
+    spec_fn = {"voip": voip_g711, "cbr": cbr}[kind]
+    return {
+        path: run_characterization(spec_fn(duration=duration), path=path, seed=seed)
+        for path in (PATH_UMTS, PATH_ETHERNET)
+    }
 
 
 def pytest_addoption(parser):
@@ -42,10 +55,9 @@ def repro_jobs(pytestconfig):
 
 
 def _session_pair(kind: str):
-    elapsed, runs = time_once(lambda: characterization_pair(kind, seed=SEED,
-                                                            duration=DURATION))
+    elapsed, runs = time_once(lambda: characterization_pair(kind))
     print(f"\n[bench] {kind}_characterization pair: {elapsed * 1000:.1f} ms "
-          f"(seed {SEED}, {DURATION:.0f}s per path)")
+          f"(seed {BENCH_SEED}, {BENCH_DURATION:.0f}s per path)")
     return runs
 
 
@@ -66,7 +78,7 @@ def print_figure(title: str, unit: str, scale: float, umts_series, eth_series) -
     print(f"\n=== {title} ===")
     print(f"{'time':>6} {'UMTS-to-Ethernet':>18} {'Ethernet-to-Ethernet':>22}   [{unit}]")
     t = 0.0
-    while t < DURATION:
+    while t < BENCH_DURATION:
         u = umts_series.between(t, t + 10.0).mean() * scale
         e = eth_series.between(t, t + 10.0).mean() * scale
         print(f"{t:5.0f}s {u:18.2f} {e:22.2f}")

@@ -6,7 +6,9 @@ runs (which doubles as a per-repeat digest-identity check inside every
 worker).  The serial and sharded campaigns must produce the same
 digest, the digest must match the committed ``BENCH_campaign.json``
 baseline, and with four real cores the sharded run must be at least
-2x faster.  Set ``REPRO_UPDATE_BASELINES=1`` to rewrite the baseline.
+2x faster.  Below that the baseline records why the speedup gate was
+skipped instead of a speedup.  Set ``REPRO_UPDATE_BASELINES=1`` to
+rewrite the baseline.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import platform
+import sys
 from pathlib import Path
+from typing import Dict, Optional
 
 import pytest
 
-from repro.bench.baseline import machine_metadata
 from repro.parallel import chaos_jobs, run_campaign
 
 BASELINE = Path(__file__).parents[1] / "BENCH_campaign.json"
@@ -27,6 +31,26 @@ BASELINE = Path(__file__).parents[1] / "BENCH_campaign.json"
 REPEATS = 20
 TARGET_JOBS = 4
 TARGET_SPEEDUP = 2.0
+
+
+def machine_metadata() -> Dict[str, str]:
+    """The environment a measurement was taken in."""
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "executable": sys.executable,
+    }
+
+
+def speedup_gate_skip(jobs: int) -> Optional[str]:
+    """Why the speedup gate cannot run here, or ``None`` when it can."""
+    if multiprocessing.cpu_count() < TARGET_JOBS:
+        return f"skipped: fewer than {TARGET_JOBS} cores"
+    if jobs < TARGET_JOBS:
+        return f"skipped: fewer than {TARGET_JOBS} jobs"
+    return None
 
 
 def test_sharded_campaign_is_faster_and_identical(repro_jobs):
@@ -42,6 +66,7 @@ def test_sharded_campaign_is_faster_and_identical(repro_jobs):
     assert sharded.digest == serial.digest
     assert all(result.stable["ok"] for result in serial.results)
 
+    skip = speedup_gate_skip(repro_jobs)
     payload = {
         "schema": 1,
         "workload": f"chaos campaign, {len(jobs)} scenarios x {REPEATS} repeats",
@@ -50,7 +75,7 @@ def test_sharded_campaign_is_faster_and_identical(repro_jobs):
         "digest": serial.digest,
         "serial_wall_s": round(serial.wall_s, 3),
         "sharded_wall_s": round(sharded.wall_s, 3),
-        "speedup": round(speedup, 2),
+        "speedup": skip or round(speedup, 2),
         "target_speedup": TARGET_SPEEDUP,
         "machine": machine_metadata(),
     }
@@ -64,11 +89,10 @@ def test_sharded_campaign_is_faster_and_identical(repro_jobs):
     # machine, any -j, any day must reproduce the committed value.
     assert serial.digest == baseline["digest"]
 
-    if repro_jobs < TARGET_JOBS or multiprocessing.cpu_count() < TARGET_JOBS:
-        pytest.skip(f"speedup target needs -j{TARGET_JOBS} and "
-                    f">={TARGET_JOBS} cores")
+    if skip is not None:
+        pytest.skip(f"speedup gate {skip}")
     assert speedup >= TARGET_SPEEDUP, (
         f"chaos campaign at -j{repro_jobs} only {speedup:.2f}x faster than "
         f"-j1 (target {TARGET_SPEEDUP}x; baseline recorded "
-        f"{baseline['speedup']}x)"
+        f"speedup {baseline['speedup']})"
     )

@@ -1,6 +1,6 @@
 """Command-line front door: ``python -m repro <command>``.
 
-Five commands, mirroring the paper's narrative:
+The commands, in the order of the paper's narrative:
 
 - ``demo`` — bring the UMTS connection up on the simulated PlanetLab
   node, show the ``umts`` command output, send one packet each way;
@@ -11,10 +11,6 @@ Five commands, mirroring the paper's narrative:
   printed as a summary table for both paths;
 - ``saturation`` — the Figures 4-7 experiment (1 Mbit/s flow) with the
   RAB adaptation timeline;
-- ``bench`` — the hot-path benchmark harness: run the scenario
-  registry, refresh the ``BENCH_*.json`` baselines, or check fresh
-  runs against them (``--check`` exits 1 on regression; see
-  docs/BENCHMARKS.md);
 - ``lint`` — the domain-aware static analyzer: determinism rules, the
   RFC 1661 FSM exhaustiveness check, and annotation coverage for the
   strict packages (exit 1 on findings; see docs/STATIC_ANALYSIS.md);
@@ -34,9 +30,9 @@ Five commands, mirroring the paper's narrative:
   experiment across every node-pair, and fairness/starvation metrics
   (see docs/FLEET.md).
 
-``bench``, ``chaos``, ``sweep`` and ``fleet`` all run through the
-campaign runner (:mod:`repro.parallel`): ``-j N`` shards jobs across
-processes without changing a byte of the merged output.
+``lint``, ``chaos``, ``sweep``, ``report`` and ``fleet`` all run
+through the campaign runner (:mod:`repro.parallel`): ``-j N`` shards
+jobs across processes without changing a byte of the merged output.
 """
 
 from __future__ import annotations
@@ -178,85 +174,6 @@ def _report_cache(args: argparse.Namespace, cache) -> None:
     if not args.cache_stats:
         return
     print("cache: disabled" if cache is None else cache.stats.summary())
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        FLEET_SCENARIOS,
-        REGISTRY,
-        baseline_path,
-        compare_result,
-        fleet_summary_payload,
-        load_baseline,
-        result_payload,
-        save_baseline,
-    )
-    from repro.bench.runner import BenchResult
-    from repro.parallel import bench_jobs, run_campaign
-
-    if args.list:
-        for scenario in REGISTRY.values():
-            print(f"{scenario.name:<24} {scenario.description}")
-        return 0
-    names = args.scenario or list(REGISTRY)
-    unknown = [name for name in names if name not in REGISTRY]
-    if unknown:
-        print(f"unknown scenario(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(REGISTRY)}", file=sys.stderr)
-        return 2
-    cache = _make_cache(args)
-    jobs = bench_jobs(names, repeats=args.repeats, warmup=args.warmup)
-    campaign = run_campaign(jobs, workers=args.jobs, cache=cache)
-    by_key = campaign.by_key()
-    failures = 0
-    payloads = {}
-    for name in names:
-        scenario = REGISTRY[name]
-        job_result = by_key[f"bench:{name}"]
-        result = BenchResult(
-            name, list(job_result.volatile["times_s"]), job_result.stable["warmup"]
-        )
-        print(result.summary_line())
-        if scenario.reference_median_s is not None:
-            speedup = scenario.reference_median_s / result.median_s
-            print(f"{'':<24} speedup {speedup:6.2f}x vs pre-PR median "
-                  f"{scenario.reference_median_s * 1000:.3f} ms")
-        payload = result_payload(result, scenario)
-        payloads[name] = payload
-        if args.output_dir is not None:
-            save_baseline(payload, baseline_path(name, args.output_dir))
-        if args.update_baselines:
-            path = save_baseline(payload, baseline_path(name, args.root))
-            print(f"         wrote {path}")
-        if args.check:
-            baseline = load_baseline(baseline_path(name, args.root))
-            if baseline is None:
-                print(f"MISSING  {name:<24} no {baseline_path(name, args.root)} "
-                      "(run with --update-baselines first)")
-                failures += 1
-                continue
-            comparison = compare_result(
-                baseline, result, scenario.tolerance, scale=args.tolerance_scale
-            )
-            print(comparison.verdict_line())
-            if comparison.regressed:
-                failures += 1
-    # Both fleet scenarios ran: also emit the combined BENCH_fleet.json
-    # gate document (events/sec + datacalls/sec vs the pre-PR engine).
-    if all(name in payloads for name in FLEET_SCENARIOS):
-        summary = fleet_summary_payload(payloads)
-        if args.output_dir is not None:
-            save_baseline(summary, baseline_path("fleet", args.output_dir))
-        if args.update_baselines:
-            path = save_baseline(summary, baseline_path("fleet", args.root))
-            print(f"         wrote {path}")
-    if args.jobs != 1:
-        print(f"campaign: {len(names)} scenario(s) across {campaign.workers} "
-              f"worker(s) in {campaign.wall_s:.2f}s")
-    _report_cache(args, cache)
-    if args.check:
-        print(f"bench check: {len(names) - failures}/{len(names)} scenarios pass")
-    return 1 if failures else 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -690,45 +607,6 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--duration", type=float, default=120.0)
-    bench_parser = sub.add_parser(
-        "bench", help="hot-path benchmarks: run, record baselines, check regressions"
-    )
-    bench_parser.add_argument(
-        "--scenario", action="append", metavar="NAME",
-        help="run only this scenario (repeatable; default: all)",
-    )
-    bench_parser.add_argument(
-        "--list", action="store_true", help="list registered scenarios and exit"
-    )
-    bench_parser.add_argument(
-        "--update-baselines", action="store_true",
-        help="write fresh BENCH_<scenario>.json baselines under --root",
-    )
-    bench_parser.add_argument(
-        "--check", action="store_true",
-        help="compare fresh runs against committed baselines; exit 1 on regression",
-    )
-    bench_parser.add_argument(
-        "--tolerance-scale", type=float, default=1.0, metavar="X",
-        help="multiply every scenario tolerance by X (CI uses 3.0)",
-    )
-    bench_parser.add_argument(
-        "--root", default=".", metavar="DIR",
-        help="directory holding the BENCH_*.json baselines (default: cwd)",
-    )
-    bench_parser.add_argument(
-        "--output-dir", default=None, metavar="DIR",
-        help="also write fresh result files here (CI artifact upload)",
-    )
-    bench_parser.add_argument(
-        "--repeats", type=int, default=None,
-        help="override every scenario's timed repeat count",
-    )
-    bench_parser.add_argument(
-        "--warmup", type=int, default=None,
-        help="override every scenario's warmup count",
-    )
-    _add_campaign_args(bench_parser)
     lint_parser = sub.add_parser(
         "lint", help="domain-aware static analysis (determinism, FSM, typing)"
     )
@@ -832,6 +710,8 @@ def main(argv=None) -> int:
         help="simulated seconds per sweep run (default: 10)",
     )
     _add_campaign_args(report_parser)
+    from repro.fleet.spec import MAX_GROUP_SIZE
+
     fleet_parser = sub.add_parser(
         "fleet", help="fleet-scale campaign: many nodes, leased UMTS, fairness"
     )
@@ -841,7 +721,7 @@ def main(argv=None) -> int:
     )
     fleet_parser.add_argument(
         "--group-size", type=int, default=8, metavar="N",
-        help="nodes per sharded group simulation (default: 8, max 64)",
+        help=f"nodes per sharded group simulation (default: 8, max {MAX_GROUP_SIZE})",
     )
     fleet_parser.add_argument(
         "--kind", choices=("voip", "cbr"), default="voip",
@@ -889,7 +769,6 @@ def main(argv=None) -> int:
         "trace": _cmd_trace,
         "voip": _cmd_voip,
         "saturation": _cmd_saturation,
-        "bench": _cmd_bench,
         "lint": _cmd_lint,
         "chaos": _cmd_chaos,
         "sweep": _cmd_sweep,

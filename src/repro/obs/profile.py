@@ -25,7 +25,7 @@ never changes dispatch order — golden run digests are unaffected.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 _MODULE_PREFIX = "repro."
 
@@ -39,11 +39,6 @@ class ProfileEntry:
         self.events = 0
         self.sim_time = 0.0
         self.wall_time = 0.0
-
-    def add(self, advance: float, wall: float) -> None:
-        self.events += 1
-        self.sim_time += advance
-        self.wall_time += wall
 
 
 def _subsystem_of(callback: Any) -> str:
@@ -85,11 +80,6 @@ class SimProfiler:
         self.total_events = 0
         self.total_sim_time = 0.0
         self._last_now = 0.0
-        # callback object → resolved keys; dispatch loops reuse the same
-        # bound methods heavily, so this caches the getattr walk.  The
-        # cache is lookup-only (never iterated), so hashing by object
-        # does not leak allocation order into any output.
-        self._keys: Dict[Any, Tuple[str, Optional[str]]] = {}
         # Interned event types: the engine resolves each distinct
         # callback to a type id once (via :meth:`register_type`) and
         # then reports through :meth:`record_typed`, which is pure list
@@ -137,30 +127,6 @@ class SimProfiler:
             proc.events += 1
             proc.sim_time += advance
             proc.wall_time += wall
-        self.total_events += 1
-        self.total_sim_time += advance
-
-    def record(self, event: Any, now: float, wall: float) -> None:
-        """Attribute one dispatched event (legacy object-keyed API)."""
-        advance = now - self._last_now
-        if advance < 0.0:  # a fresh run after reset; don't go negative
-            advance = 0.0
-        self._last_now = now
-        callback = event.callback
-        keys = self._keys.get(callback)
-        if keys is None:
-            keys = (_subsystem_of(callback), _process_of(callback))
-            self._keys[callback] = keys
-        subsystem_key, process_key = keys
-        entry = self.subsystems.get(subsystem_key)
-        if entry is None:
-            entry = self.subsystems[subsystem_key] = ProfileEntry()
-        entry.add(advance, wall)
-        if process_key is not None:
-            proc = self.processes.get(process_key)
-            if proc is None:
-                proc = self.processes[process_key] = ProfileEntry()
-            proc.add(advance, wall)
         self.total_events += 1
         self.total_sim_time += advance
 

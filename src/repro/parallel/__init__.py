@@ -1,13 +1,13 @@
 """Sharded campaign execution with a deterministic merge.
 
-Campaigns — bench scenario repeats, the chaos suite, seed sweeps —
-are embarrassingly parallel: every job is an independent simulation
-fully described by its payload.  This package shards them across a
-process pool and merges the results in stable job-key order, so the
-campaign digest is bit-identical for any ``-j``; a content-addressed
-cache (keyed by source tree, scenario, and seed) skips jobs whose
-inputs have not changed.  See ``docs/PARALLEL.md`` for the job model
-and the determinism contract.
+Campaigns — the chaos suite, scenario-grammar points, seed sweeps,
+fleet groups, lint shards — are embarrassingly parallel: every job is
+an independent simulation fully described by its payload.  This
+package shards them across a process pool and merges the results in
+stable job-key order, so the campaign digest is bit-identical for any
+``-j``; a content-addressed cache (keyed by source tree, scenario,
+and seed) skips jobs whose inputs have not changed.  See
+``docs/PARALLEL.md`` for the job model and the determinism contract.
 """
 
 from repro.parallel.cache import (
@@ -18,7 +18,6 @@ from repro.parallel.cache import (
     tree_digest,
 )
 from repro.parallel.entrypoints import (
-    bench_jobs,
     chaos_jobs,
     fleet_jobs,
     lint_jobs,
@@ -50,7 +49,6 @@ __all__ = [
     "JobOutput",
     "JobResult",
     "ResultCache",
-    "bench_jobs",
     "campaign_digest",
     "chaos_jobs",
     "default_cache_dir",

@@ -75,7 +75,6 @@ class CacheStats:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.uncacheable = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Exportable snapshot."""
@@ -83,15 +82,11 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
-            "uncacheable": self.uncacheable,
         }
 
     def summary(self) -> str:
         """One human-readable report line (``--cache-stats``)."""
-        return (
-            f"cache: hits={self.hits} misses={self.misses} "
-            f"stores={self.stores} uncacheable={self.uncacheable}"
-        )
+        return f"cache: hits={self.hits} misses={self.misses} stores={self.stores}"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CacheStats {self.summary()}>"
@@ -129,9 +124,6 @@ class ResultCache:
 
     def load(self, job: Job) -> Optional[JobResult]:
         """The cached result for ``job``, or ``None`` (counted either way)."""
-        if not job.cacheable:
-            self.stats.uncacheable += 1
-            return None
         path = self.path_for(job)
         if not path.exists():
             self.stats.misses += 1
@@ -144,10 +136,8 @@ class ResultCache:
         self.stats.hits += 1
         return JobResult.from_record(record, cached=True)
 
-    def store(self, job: Job, result: JobResult) -> Optional[Path]:
-        """Persist a fresh result (no-op for uncacheable jobs)."""
-        if not job.cacheable:
-            return None
+    def store(self, job: Job, result: JobResult) -> Path:
+        """Persist a fresh result."""
         path = self.path_for(job)
         path.parent.mkdir(parents=True, exist_ok=True)
         document: Dict[str, Any] = dict(result.record())

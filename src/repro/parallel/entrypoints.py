@@ -1,4 +1,4 @@
-"""Built-in campaign workloads: chaos, bench, sweeps, fleet groups.
+"""Built-in campaign workloads: chaos, scenarios, sweeps, fleet groups, lint.
 
 Each entry point is a module-level function (spawn-safe by
 construction) that rebuilds *everything* from its payload — the
@@ -76,7 +76,7 @@ def run_chaos_job(payload: Dict[str, Any]) -> JobOutput:
     stable = dict(report)
     if repeats != 1:
         stable["campaign_repeats"] = repeats
-    return JobOutput(stable=stable, volatile={}, metrics=metrics.snapshot())
+    return JobOutput(stable=stable, metrics=metrics.snapshot())
 
 
 # -- scenario grammar ------------------------------------------------------
@@ -108,52 +108,7 @@ def run_scenario_job(payload: Dict[str, Any]) -> JobOutput:
     spec = grammar_point(payload["point"])
     metrics = MetricsRegistry()
     report = run_grammar_scenario(spec, metrics=metrics)
-    return JobOutput(stable=report, volatile={}, metrics=metrics.snapshot())
-
-
-# -- bench ----------------------------------------------------------------
-
-
-def bench_jobs(
-    names: Sequence[str],
-    repeats: Optional[int] = None,
-    warmup: Optional[int] = None,
-) -> List[Job]:
-    """One job per bench scenario.
-
-    Bench jobs are **not cacheable**: their point is the wall-clock
-    measurement, which must be taken fresh on every run.  Their
-    ``stable`` part is the run *configuration* only, so ``-j 1`` and
-    ``-j N`` campaigns digest identically even though timings differ.
-    """
-    jobs = []
-    for name in names:
-        payload: Dict[str, Any] = {"scenario": name}
-        if repeats is not None:
-            payload["repeats"] = repeats
-        if warmup is not None:
-            payload["warmup"] = warmup
-        jobs.append(
-            Job(kind="bench", key=f"bench:{name}", payload=payload, cacheable=False)
-        )
-    return jobs
-
-
-@entry_point("bench")
-def run_bench_job(payload: Dict[str, Any]) -> JobOutput:
-    """Time one registered bench scenario in this worker."""
-    from repro.bench import REGISTRY, run_scenario
-
-    name = payload["scenario"]
-    if name not in REGISTRY:
-        raise KeyError(f"unknown bench scenario {name!r}")
-    result = run_scenario(
-        REGISTRY[name],
-        repeats=payload.get("repeats"),
-        warmup=payload.get("warmup"),
-    )
-    stable = {"scenario": name, "repeats": result.repeats, "warmup": result.warmup}
-    return JobOutput(stable=stable, volatile={"times_s": list(result.times)}, metrics={})
+    return JobOutput(stable=report, metrics=metrics.snapshot())
 
 
 # -- fleet ----------------------------------------------------------------
@@ -186,14 +141,7 @@ def run_fleet_job(payload: Dict[str, Any]) -> JobOutput:
     spec = FleetSpec.from_payload(payload["spec"])
     metrics = MetricsRegistry()
     report = run_group(spec, int(payload["group"]), metrics=metrics)
-    return JobOutput(stable=report, volatile={}, metrics=metrics.snapshot())
-
-
-def bench_result_from(result_volatile: Dict[str, Any], name: str, warmup: int) -> Any:
-    """Rebuild the :class:`~repro.bench.runner.BenchResult` in the parent."""
-    from repro.bench.runner import BenchResult
-
-    return BenchResult(name, list(result_volatile["times_s"]), warmup)
+    return JobOutput(stable=report, metrics=metrics.snapshot())
 
 
 # -- lint -----------------------------------------------------------------
@@ -233,7 +181,6 @@ def run_lint_job(payload: Dict[str, Any]) -> JobOutput:
     result = lint_file(payload["path"], rules)
     return JobOutput(
         stable={"path": payload["path"], "result": result},
-        volatile={},
         metrics={},
     )
 
@@ -330,4 +277,4 @@ def run_sweep_job(payload: Dict[str, Any]) -> JobOutput:
             "max_rtt_s": summary.max_rtt,
         },
     }
-    return JobOutput(stable=stable, volatile={}, metrics=metrics.snapshot())
+    return JobOutput(stable=stable, metrics=metrics.snapshot())

@@ -11,8 +11,7 @@ the content-addressed cache key (see :mod:`repro.parallel.cache`).
 Entry points are module-level functions registered under their kind
 with :func:`entry_point`; they receive the payload and return a
 :class:`JobOutput` whose ``stable`` part is a pure function of the
-payload (the determinism contract the campaign digest hashes) and
-whose ``volatile`` part may hold wall-clock measurements.  Worker
+payload (the determinism contract the campaign digest hashes).  Worker
 processes re-resolve the function from the registry by name, so
 nothing un-picklable ever crosses the process boundary.
 """
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple
 
 
 class JobOutput(NamedTuple):
@@ -29,13 +28,12 @@ class JobOutput(NamedTuple):
 
     ``stable`` must be a pure function of the job payload — it is what
     the campaign digest hashes and what ``-j 1`` vs ``-j N`` equality
-    is proved over.  ``volatile`` holds anything wall-clock-dependent
-    (timings); ``metrics`` is a :meth:`MetricsRegistry.snapshot` from
-    the worker, merged into one campaign-wide registry by the runner.
+    is proved over.  ``metrics`` is a :meth:`MetricsRegistry.snapshot`
+    from the worker, merged into one campaign-wide registry by the
+    runner.
     """
 
     stable: Dict[str, Any]
-    volatile: Dict[str, Any] = {}
     metrics: Dict[str, Dict[str, Any]] = {}
 
 
@@ -46,8 +44,6 @@ class Job:
     kind: str
     key: str
     payload: Dict[str, Any] = field(default_factory=dict)
-    #: Timing-measurement jobs set this False so re-runs re-measure.
-    cacheable: bool = True
 
     def payload_json(self) -> str:
         """Canonical JSON of the payload (cache-key material)."""
@@ -61,7 +57,6 @@ class JobResult:
     key: str
     kind: str
     stable: Dict[str, Any]
-    volatile: Dict[str, Any]
     metrics: Dict[str, Dict[str, Any]]
     wall_s: float
     cached: bool = False
@@ -72,7 +67,6 @@ class JobResult:
             "key": self.key,
             "kind": self.kind,
             "stable": self.stable,
-            "volatile": self.volatile,
             "metrics": self.metrics,
             "wall_s": self.wall_s,
         }
@@ -84,7 +78,6 @@ class JobResult:
             key=record["key"],
             kind=record["kind"],
             stable=record["stable"],
-            volatile=record["volatile"],
             metrics=record.get("metrics", {}),
             wall_s=record.get("wall_s", 0.0),
             cached=cached,

@@ -22,7 +22,7 @@ import hashlib
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.cache import ResultCache
@@ -39,7 +39,6 @@ def execute_job(job: Job) -> JobResult:
         key=job.key,
         kind=job.kind,
         stable=output.stable,
-        volatile=output.volatile,
         metrics=output.metrics,
         wall_s=wall,
     )

@@ -29,9 +29,9 @@ test, and nothing cancelled ever reaches — or lingers in — the heap:
 the classic lazy-deletion pile of dead heap entries cannot form.
 
 :meth:`Simulator.run` has two loops.  The **fast path** runs when
-``trace``, ``metrics``, ``profile`` and ``on_dispatch`` are all
-``None`` (the observability layer's no-sink contract): no
-``time.perf_counter`` pair, no histogram update.  The instrumented
+``trace``, ``metrics`` and ``profile`` are all ``None`` (the
+observability layer's no-sink contract): no ``time.perf_counter``
+pair, no histogram update.  The instrumented
 loop is the *same* single-scan batch loop — the historic
 ``peek()``/``step()`` double scan is gone — with per-event
 instrumentation on top: metric handles are resolved once per registry
@@ -100,20 +100,6 @@ class Event:
         return f"<Event idx={self._idx} {state}>"
 
 
-class _DispatchRecord:
-    """An Event-shaped view of one dispatch, for ``on_dispatch`` hooks
-    and legacy profiler ``record(event, ...)`` implementations."""
-
-    __slots__ = ("time", "callback", "args")
-
-    def __init__(
-        self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]
-    ) -> None:
-        self.time = time
-        self.callback = callback
-        self.args = args
-
-
 class Simulator:
     """Single-threaded discrete-event simulator.
 
@@ -148,8 +134,6 @@ class Simulator:
         self.trace: Optional[Any] = None
         #: optional :class:`~repro.obs.MetricsRegistry` (same contract).
         self.metrics: Optional[Any] = None
-        #: optional ``callback(event, wall_seconds)`` run after each dispatch.
-        self.on_dispatch: Optional[Callable[[Any, float], None]] = None
         #: optional :class:`~repro.obs.SimProfiler` fed once per dispatch
         #: (same zero-cost-when-``None`` contract as ``metrics``).
         self.profile: Optional[Any] = None
@@ -166,7 +150,6 @@ class Simulator:
         self._m_depth: Any = None
         self._prof_src: Optional[Any] = None
         self._prof_intern: Dict[Any, int] = {}
-        self._prof_legacy = False
 
     @property
     def now(self) -> float:
@@ -338,7 +321,7 @@ class Simulator:
         """Fire one live event (shared by :meth:`step`'s single-step path)."""
         self._now = when
         self._live -= 1
-        if self.metrics is None and self.on_dispatch is None and self.profile is None:
+        if self.metrics is None and self.profile is None:
             cb(*args)
         else:
             self._dispatch_instrumented(cb, args)
@@ -367,24 +350,18 @@ class Simulator:
             if profile is not self._prof_src:
                 self._prof_src = profile
                 self._prof_intern = {}
-                self._prof_legacy = not hasattr(profile, "record_typed")
-            if self._prof_legacy:
-                profile.record(_DispatchRecord(self._now, cb, args), self._now, elapsed)
+            intern = self._prof_intern
+            try:
+                tid: Optional[int] = intern.get(cb)
+            except TypeError:  # unhashable callback: re-register (rare)
+                tid = None
             else:
-                intern = self._prof_intern
-                try:
-                    tid: Optional[int] = intern.get(cb)
-                except TypeError:  # unhashable callback: re-register (rare)
-                    tid = None
-                else:
-                    if tid is None:
-                        tid = profile.register_type(cb)
-                        intern[cb] = tid
                 if tid is None:
                     tid = profile.register_type(cb)
-                profile.record_typed(tid, self._now, elapsed)
-        if self.on_dispatch is not None:
-            self.on_dispatch(_DispatchRecord(self._now, cb, args), elapsed)
+                    intern[cb] = tid
+            if tid is None:
+                tid = profile.register_type(cb)
+            profile.record_typed(tid, self._now, elapsed)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run the event loop.
@@ -394,19 +371,13 @@ class Simulator:
         the clock is advanced exactly to ``until``.  Returns the final
         clock value.
 
-        When ``trace``, ``metrics``, ``profile`` and ``on_dispatch``
-        are all ``None`` a tight fast path is used; dispatch order is
-        identical either way.
+        When ``trace``, ``metrics`` and ``profile`` are all ``None`` a
+        tight fast path is used; dispatch order is identical either way.
         """
         self._running = True
         self._stopped = False
         try:
-            if (
-                self.trace is None
-                and self.metrics is None
-                and self.on_dispatch is None
-                and self.profile is None
-            ):
+            if self.trace is None and self.metrics is None and self.profile is None:
                 self._run_fast(until)
             else:
                 self._run_instrumented(until)
@@ -506,11 +477,7 @@ class Simulator:
                 i += 2
                 self._live -= 1
                 self._now = when
-                if (
-                    self.metrics is None
-                    and self.on_dispatch is None
-                    and self.profile is None
-                ):
+                if self.metrics is None and self.profile is None:
                     cb(*args)
                 else:
                     self._dispatch_instrumented(cb, args)

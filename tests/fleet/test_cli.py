@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
+from repro.fleet.spec import MAX_GROUP_SIZE
 
 
 def run_fleet(capsys, *extra):
@@ -38,6 +41,15 @@ def test_fleet_check_verifies_determinism(capsys):
     code, out = run_fleet(capsys, "--check")
     assert code == 0
     assert "NON-DETERMINISTIC" not in out
+
+
+def test_group_size_help_states_the_real_cap(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fleet", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert str(MAX_GROUP_SIZE) in text
+    assert f"max {MAX_GROUP_SIZE})" in text
 
 
 def test_fleet_rejects_bad_spec(capsys):

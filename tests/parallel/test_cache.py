@@ -56,9 +56,7 @@ class TestCacheBehaviour:
         hit = cache.load(job)
         assert hit is not None and hit.cached
         assert hit.stable_digest_line() == result.stable_digest_line()
-        assert cache.stats.as_dict() == {
-            "hits": 1, "misses": 0, "stores": 1, "uncacheable": 0,
-        }
+        assert cache.stats.as_dict() == {"hits": 1, "misses": 0, "stores": 1}
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(root=tmp_path, source_digest="d1")
@@ -68,27 +66,14 @@ class TestCacheBehaviour:
         assert cache.load(job) is None
         assert cache.stats.misses == 1
 
-    def test_uncacheable_jobs_never_stored(self, tmp_path):
-        cache = ResultCache(root=tmp_path, source_digest="d1")
-        job = Job(kind="sweep", key="k", payload=make_job().payload,
-                  cacheable=False)
-        assert cache.store(job, execute_job(job)) is None
-        assert cache.load(job) is None
-        assert cache.stats.uncacheable == 1
-        assert list(tmp_path.iterdir()) == []
-
     def test_campaign_second_run_is_all_hits(self, tmp_path):
         jobs = sweep_jobs("voip", seeds=[1, 2], paths=["umts"], duration=5.0)
         first = run_campaign(jobs, workers=2, cache=ResultCache(
             root=tmp_path, source_digest="d1"))
-        assert first.cache_stats == {
-            "hits": 0, "misses": 2, "stores": 2, "uncacheable": 0,
-        }
+        assert first.cache_stats == {"hits": 0, "misses": 2, "stores": 2}
         second = run_campaign(jobs, workers=2, cache=ResultCache(
             root=tmp_path, source_digest="d1"))
-        assert second.cache_stats == {
-            "hits": 2, "misses": 0, "stores": 0, "uncacheable": 0,
-        }
+        assert second.cache_stats == {"hits": 2, "misses": 0, "stores": 0}
         assert second.digest == first.digest
         assert second.cached_count() == 2
 

@@ -41,30 +41,16 @@ class TestChaosSharded:
         assert "NON-DETERMINISTIC" not in out
         assert "ok  " in out
 
+    def test_j2_prints_campaign_footer(self, capsys):
+        assert main(["chaos", "--scenario", "dial_no_carrier", "--scenario",
+                     "session_drop", "-j", "2", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "dial_no_carrier" in out and "session_drop" in out
+        assert "workers=2 cached=0/2" in out
+
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["chaos", "--scenario", "nope", "--no-cache"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
-
-
-class TestBenchSharded:
-    def test_j2_prints_campaign_and_speedup(self, capsys):
-        assert main(["bench", "--scenario", "vsys_rpc", "--scenario",
-                     "hdlc_encode", "--repeats", "1", "--warmup", "0",
-                     "-j", "2", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "vsys_rpc" in out and "hdlc_encode" in out
-        assert "speedup" in out and "vs pre-PR median" in out
-        assert "campaign: 2 scenario(s) across 2 worker(s)" in out
-
-    def test_results_always_fresh_despite_cache(self, cache_dir, capsys):
-        args = ["bench", "--scenario", "vsys_rpc", "--repeats", "1",
-                "--warmup", "0", "--cache-dir", cache_dir, "--cache-stats"]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "uncacheable=1" in out
-        assert "hits=0" in out
 
 
 class TestSweep:

@@ -8,11 +8,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
     Job,
     JobResult,
-    bench_jobs,
     campaign_digest,
     chaos_jobs,
     default_start_method,
     execute_job,
+    lint_jobs,
     resolve_entry_point,
     run_campaign,
     sweep_jobs,
@@ -145,15 +145,6 @@ class TestMetricsFold:
         pooled.pop("engine.dispatch_wall_seconds")
         assert serial == pooled
 
-    def test_bench_jobs_carry_config_not_timings_in_stable(self):
-        jobs = bench_jobs(["vsys_rpc"], repeats=1, warmup=0)
-        assert not jobs[0].cacheable
-        first = run_campaign(jobs, workers=1)
-        second = run_campaign(jobs, workers=1)
-        assert first.digest == second.digest
-        assert "times_s" not in first.results[0].stable
-        assert len(first.results[0].volatile["times_s"]) == 1
-
 
 class TestMetricsRegistryDefault:
     def test_sweep_jobs_ship_simulated_metrics(self):
@@ -162,8 +153,11 @@ class TestMetricsRegistryDefault:
         assert campaign.metrics.counter("engine.events_dispatched").value > 0
         assert campaign.metrics.counter("traffic.packets_sent").value > 0
 
-    def test_campaign_without_metrics_yields_empty_registry(self):
-        jobs = bench_jobs(["vsys_rpc"], repeats=1, warmup=0)
+    def test_campaign_without_metrics_yields_empty_registry(self, tmp_path):
+        # Lint jobs ship no metrics snapshot.
+        target = tmp_path / "a.py"
+        target.write_text("A = 1\n")
+        jobs = lint_jobs([target], ["wall-clock"])
         campaign = run_campaign(jobs, workers=1)
         assert isinstance(campaign.metrics, MetricsRegistry)
         assert len(campaign.metrics) == 0

@@ -155,69 +155,6 @@ def test_rejects_unknown_command():
         main(["fly"])
 
 
-def test_bench_list(capsys):
-    assert main(["bench", "--list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("engine", "hdlc_encode", "hdlc_decode",
-                 "voip_characterization", "cbr_characterization", "vsys_rpc"):
-        assert name in out
-
-
-def test_bench_rejects_unknown_scenario(capsys):
-    assert main(["bench", "--scenario", "warp_drive"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown scenario" in err
-
-
-def test_bench_update_then_check_roundtrip(tmp_path, capsys):
-    root = str(tmp_path)
-    args = ["bench", "--scenario", "hdlc_encode", "--repeats", "2",
-            "--warmup", "0", "--root", root]
-    assert main(args + ["--update-baselines"]) == 0
-    baseline = tmp_path / "BENCH_hdlc_encode.json"
-    assert baseline.exists()
-    payload = json.loads(baseline.read_text())
-    assert payload["scenario"] == "hdlc_encode"
-    assert payload["result"]["repeats"] == 2
-    assert payload["reference"]["pre_pr_median_s"] > 0
-    capsys.readouterr()
-    # A generous tolerance scale must pass against the just-written baseline.
-    assert main(args + ["--check", "--tolerance-scale", "100"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert "1/1 scenarios pass" in out
-
-
-def test_bench_check_flags_regression(tmp_path, capsys):
-    root = str(tmp_path)
-    args = ["bench", "--scenario", "hdlc_decode", "--repeats", "1",
-            "--warmup", "0", "--root", root]
-    assert main(args + ["--update-baselines"]) == 0
-    baseline = tmp_path / "BENCH_hdlc_decode.json"
-    payload = json.loads(baseline.read_text())
-    # Shrink the recorded median so any fresh run looks like a regression.
-    payload["result"]["median_s"] = payload["result"]["median_s"] / 1e6
-    baseline.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(args + ["--check"]) == 1
-    out = capsys.readouterr().out
-    assert "REGRESS" in out
-
-
-def test_bench_check_missing_baseline_fails(tmp_path, capsys):
-    assert main(["bench", "--scenario", "hdlc_encode", "--repeats", "1",
-                 "--warmup", "0", "--root", str(tmp_path), "--check"]) == 1
-    out = capsys.readouterr().out
-    assert "MISSING" in out
-
-
-def test_bench_output_dir_writes_fresh_results(tmp_path):
-    out_dir = tmp_path / "fresh"
-    assert main(["bench", "--scenario", "hdlc_encode", "--repeats", "1",
-                 "--warmup", "0", "--output-dir", str(out_dir)]) == 0
-    assert (out_dir / "BENCH_hdlc_encode.json").exists()
-
-
 def test_lint_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro import (
@@ -316,6 +317,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
           f"cached={campaign.cached_count()}/{len(reports)}")
     _report_cache(args, cache)
     return 1 if ok < len(reports) else 0
+
+
+def _duration(text: str) -> float:
+    """argparse type for ``--duration``: finite, positive seconds."""
+    value = float(text)
+    if not 0 < value < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
 def _parse_seed_spec(spec: str) -> list:
@@ -606,7 +615,7 @@ def main(argv=None) -> int:
         ("saturation", "the 1 Mbit/s saturation experiment (Figures 4-7)"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--duration", type=float, default=120.0)
+        p.add_argument("--duration", type=_duration, default=120.0)
     lint_parser = sub.add_parser(
         "lint", help="domain-aware static analysis (determinism, FSM, typing)"
     )
@@ -667,7 +676,7 @@ def main(argv=None) -> int:
         "--path", choices=("both", PATH_UMTS, PATH_ETHERNET), default=PATH_UMTS,
         help=f"which path(s) to run (default: {PATH_UMTS})",
     )
-    sweep_parser.add_argument("--duration", type=float, default=30.0)
+    sweep_parser.add_argument("--duration", type=_duration, default=30.0)
     sweep_parser.add_argument(
         "--scenario", default=None, metavar="POINT",
         help="run over this scenario-grammar point's testbed "
@@ -706,7 +715,7 @@ def main(argv=None) -> int:
         help="seed range LO:HI or comma list for --campaign sweep (default: 1:4)",
     )
     report_parser.add_argument(
-        "--duration", type=float, default=10.0,
+        "--duration", type=_duration, default=10.0,
         help="simulated seconds per sweep run (default: 10)",
     )
     _add_campaign_args(report_parser)
@@ -728,7 +737,7 @@ def main(argv=None) -> int:
         help="workload on every node-pair (default: voip)",
     )
     fleet_parser.add_argument(
-        "--duration", type=float, default=4.0,
+        "--duration", type=_duration, default=4.0,
         help="flow duration in simulated seconds (default: 4)",
     )
     fleet_parser.add_argument(

@@ -18,6 +18,7 @@ timeline never depends on which process runs it or on any other group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
@@ -111,10 +112,12 @@ class FleetSpec:
             raise FleetSpecError(
                 f"unknown workload {self.kind!r} (known: {', '.join(FLEET_KINDS)})"
             )
-        if self.duration <= 0:
-            raise FleetSpecError(f"duration must be positive, got {self.duration!r}")
-        if self.stagger < 0 or self.drain < 0:
-            raise FleetSpecError("stagger and drain must be >= 0")
+        if not 0 < self.duration < math.inf:  # also rejects NaN
+            raise FleetSpecError(
+                f"duration must be finite and positive, got {self.duration!r}"
+            )
+        if not (0 <= self.stagger < math.inf and 0 <= self.drain < math.inf):
+            raise FleetSpecError("stagger and drain must be finite and >= 0")
         if self.retry_preempted < 0:
             raise FleetSpecError(
                 f"retry_preempted must be >= 0, got {self.retry_preempted!r}"

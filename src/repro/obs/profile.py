@@ -18,8 +18,8 @@ wall-based in this stack — it is volatile and excluded from
 of a deterministic run are byte-stable.
 
 The profiler follows the observability layer's zero-cost contract:
-``sim.profile`` is ``None`` by default, the engine's fast path checks
-it once per :meth:`~repro.sim.engine.Simulator.run`, and attaching it
+``sim.profile`` is ``None`` by default, the engine's dispatch walk
+checks it once per batch of same-instant events, and attaching it
 never changes dispatch order — golden run digests are unaffected.
 """
 

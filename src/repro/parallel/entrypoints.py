@@ -12,6 +12,7 @@ descriptors the CLI and the tests feed to
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -206,8 +207,8 @@ def sweep_jobs(
     """
     if kind not in SWEEP_KINDS:
         raise KeyError(f"unknown sweep kind {kind!r} (known: {', '.join(SWEEP_KINDS)})")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration!r}")
+    if not 0 < duration < math.inf:  # also rejects NaN
+        raise ValueError(f"duration must be finite and positive, got {duration!r}")
     if scenario is not None:
         from repro.scenarios import grammar_point
 

@@ -2,10 +2,11 @@
 
 A :class:`Simulator` owns a virtual clock and a time-bucketed event
 store.  Components schedule callbacks with :meth:`Simulator.schedule`
-(relative delay), :meth:`Simulator.schedule_at` (absolute time) or
-:meth:`Simulator.post` (fire-and-forget, no handle) and the main loop
-dispatches them in timestamp order.  Ties are broken by insertion
-order, which keeps runs bit-for-bit deterministic.
+(relative delay, cancellable), :meth:`Simulator.post` (relative
+delay, fire-and-forget) or :meth:`Simulator.post_at` (absolute time,
+fire-and-forget) and the main loop dispatches them in timestamp order.
+Ties are broken by insertion order, which keeps runs bit-for-bit
+deterministic.
 
 Storage is bucketed rather than heap-of-objects: the heap orders bare
 ``float`` timestamps (so every sift compares machine floats in C, the
@@ -28,18 +29,19 @@ ran is a natural no-op, a cancelled cell is skipped by one ``is None``
 test, and nothing cancelled ever reaches — or lingers in — the heap:
 the classic lazy-deletion pile of dead heap entries cannot form.
 
-:meth:`Simulator.run` has two loops.  The **fast path** runs when
-``trace``, ``metrics`` and ``profile`` are all ``None`` (the
-observability layer's no-sink contract): no ``time.perf_counter``
-pair, no histogram update.  The instrumented
-loop is the *same* single-scan batch loop — the historic
-``peek()``/``step()`` double scan is gone — with per-event
-instrumentation on top: metric handles are resolved once per registry
-(not per event), and profiler attribution happens through interned
-event-type ids (one hash of the callback on first sight, list indexing
-afterwards) instead of hashing callback objects on every dispatch.
-Both loops dispatch events in exactly the same order, so instrumented
-and uninstrumented runs are bit-for-bit identical.
+Dispatch is one batch walk shared by :meth:`Simulator.run` and
+:meth:`Simulator.step`: it pops one heap timestamp per batch and
+decides *once per batch* whether instrumentation is attached.  When
+``metrics`` and ``profile`` are both ``None`` (the observability
+layer's no-sink contract) each event is a bare ``cb(*args)``: no
+``time.perf_counter`` pair, no histogram update.  Otherwise every
+event of the batch goes through the instrumented dispatch, where
+metric handles are resolved once per registry (not per event) and
+profiler attribution happens through interned event-type ids (one
+hash of the callback on first sight, list indexing afterwards).  A
+sink attached by a callback mid-batch takes effect at the next
+instant.  Dispatch order does not depend on instrumentation, so
+instrumented and uninstrumented runs are bit-for-bit identical.
 """
 
 from __future__ import annotations
@@ -90,15 +92,6 @@ class Event:
             bucket[idx + 1] = None
             self._sim._live -= 1
 
-    @property
-    def pending(self) -> bool:
-        """Whether the event is still scheduled (not fired, not cancelled)."""
-        return self._bucket[self._idx] is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "pending" if self.pending else "done"
-        return f"<Event idx={self._idx} {state}>"
-
 
 class Simulator:
     """Single-threaded discrete-event simulator.
@@ -124,10 +117,11 @@ class Simulator:
         self._buckets: Dict[float, List[Any]] = {}
         #: O(1) census of scheduled, not-yet-fired, not-cancelled events.
         self._live = 0
-        #: a partially dispatched batch left by ``stop()``:
-        #: ``(time, bucket, resume_index)``.
+        #: a partially dispatched batch left by :meth:`stop` or
+        #: :meth:`step`: ``(time, bucket, resume_index)``.
         self._active: Optional[Tuple[float, List[Any], int]] = None
-        self._running = False
+        #: the walk returns after the current dispatch (set by
+        #: :meth:`stop`, and by :meth:`step` for its single dispatch).
         self._stopped = False
         #: optional :class:`~repro.obs.TraceBus`; components check this
         #: before emitting, so ``None`` keeps the stack uninstrumented.
@@ -158,9 +152,9 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
     #
-    # The bucket-insert sequence is spelled out inline in all four
+    # The bucket-insert sequence is spelled out inline in all three
     # entry points: one Python call frame per scheduled event is
-    # measurable at fleet volume, and these four bodies are the only
+    # measurable at fleet volume, and these three bodies are the only
     # copies.
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
@@ -177,31 +171,6 @@ class Simulator:
             bucket = [callback, args]
             self._buckets[when] = bucket
             _heappush(self._times, when)
-            idx = 0
-        else:
-            idx = len(bucket)
-            bucket.append(callback)
-            bucket.append(args)
-        self._live += 1
-        return Event(self, bucket, idx)
-
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at the absolute time ``time``.
-
-        A time earlier than the clock — or NaN, which would silently
-        corrupt the queue ordering — raises :class:`ScheduleInPastError`.
-        """
-        if not time >= self._now:
-            if math.isnan(time):
-                raise ScheduleInPastError(f"cannot schedule at NaN time {time!r}")
-            raise ScheduleInPastError(
-                f"cannot schedule at {time!r}; clock already at {self._now!r}"
-            )
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            bucket = [callback, args]
-            self._buckets[time] = bucket
-            _heappush(self._times, time)
             idx = 0
         else:
             idx = len(bucket)
@@ -231,12 +200,15 @@ class Simulator:
         self._live += 1
 
     def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no :class:`Event` handle.
+        """Schedule ``callback(*args)`` at the absolute time ``time``.
 
-        The absolute-time twin of :meth:`post`, for grid-aligned work
-        (TTI deliveries, frame boundaries) whose timestamps must be
-        computed once and shared exactly across many schedulers rather
-        than re-derived through ``now + delay`` float arithmetic.
+        The absolute-time twin of :meth:`post` (no :class:`Event`
+        handle), for grid-aligned work (TTI deliveries, frame
+        boundaries) whose timestamps must be computed once and shared
+        exactly across many schedulers rather than re-derived through
+        ``now + delay`` float arithmetic.  A time earlier than the
+        clock — or NaN, which would silently corrupt the queue
+        ordering — raises :class:`ScheduleInPastError`.
         """
         if not time >= self._now:
             if math.isnan(time):
@@ -259,72 +231,11 @@ class Simulator:
 
     # -- introspection -----------------------------------------------------
 
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the queue is empty."""
-        active = self._active
-        if active is not None:
-            when, bucket, i = active
-            n = len(bucket)
-            while i < n:
-                if bucket[i] is not None:
-                    return when
-                i += 2
-            self._active = None  # every remaining entry was cancelled
-        times = self._times
-        buckets = self._buckets
-        while times:
-            head = times[0]
-            bucket = buckets.get(head)
-            if bucket is None:  # duplicate timestamp, bucket already taken
-                _heappop(times)
-                continue
-            for i in range(0, len(bucket), 2):
-                if bucket[i] is not None:
-                    return head
-            _heappop(times)  # all-stale bucket: drop it whole
-            del buckets[head]
-        return None
-
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
         return self._live
 
     # -- dispatch ----------------------------------------------------------
-
-    def step(self) -> bool:
-        """Dispatch the next event.  Returns ``False`` if none remained."""
-        while True:
-            active = self._active
-            if active is not None:
-                when, bucket, i = active
-                n = len(bucket)
-                while i < n:
-                    cb = bucket[i]
-                    args = bucket[i + 1]
-                    i += 2
-                    if cb is None:  # cancelled: tombstoned cell
-                        continue
-                    bucket[i - 2] = None  # fired: a late cancel is a no-op
-                    self._active = (when, bucket, i) if i < n else None
-                    self._fire(when, cb, args)
-                    return True
-                self._active = None
-            times = self._times
-            if not times:
-                return False
-            when = _heappop(times)
-            bucket = self._buckets.pop(when, None)
-            if bucket is not None:
-                self._active = (when, bucket, 0)
-
-    def _fire(self, when: float, cb: Callable[..., Any], args: Tuple[Any, ...]) -> None:
-        """Fire one live event (shared by :meth:`step`'s single-step path)."""
-        self._now = when
-        self._live -= 1
-        if self.metrics is None and self.profile is None:
-            cb(*args)
-        else:
-            self._dispatch_instrumented(cb, args)
 
     def _dispatch_instrumented(
         self, cb: Callable[..., Any], args: Tuple[Any, ...]
@@ -369,50 +280,55 @@ class Simulator:
         With ``until=None`` the loop drains the queue completely.  With a
         deadline, events strictly after ``until`` are left pending and
         the clock is advanced exactly to ``until``.  Returns the final
-        clock value.
-
-        When ``trace``, ``metrics`` and ``profile`` are all ``None`` a
-        tight fast path is used; dispatch order is identical either way.
+        clock value.  A NaN deadline raises :class:`ScheduleInPastError`.
         """
-        self._running = True
+        if until is not None and math.isnan(until):
+            raise ScheduleInPastError(f"cannot run until NaN time {until!r}")
         self._stopped = False
-        try:
-            if self.trace is None and self.metrics is None and self.profile is None:
-                self._run_fast(until)
-            else:
-                self._run_instrumented(until)
-        finally:
-            self._running = False
+        self._walk(math.inf if until is None else until)
         if until is not None and self._now < until:
             self._now = until
         return self._now
 
-    def _run_fast(self, until: Optional[float]) -> None:
-        """Uninstrumented loop: locals hoisted, one heap pop per *batch*."""
-        if until is None:
-            until = math.inf
+    def step(self) -> bool:
+        """Dispatch the next event.  Returns ``False`` if none remained.
+
+        A step is a walk stopped after its first dispatch, so it works
+        the same whether or not an earlier :meth:`run` ended in
+        :meth:`stop`.
+        """
+        self._stopped = True
+        return self._walk(math.inf)
+
+    def _walk(self, until: float) -> bool:
+        """Dispatch events due by ``until`` in order, one batch per heap pop.
+
+        Returns ``True`` when a dispatch set ``_stopped`` (the rest of
+        its batch is parked in ``_active`` for the next walk) and
+        ``False`` when nothing due by ``until`` remains.
+        """
         times = self._times
         buckets = self._buckets
-        pop = _heappop
-        while not self._stopped:
+        while True:
             active = self._active
             if active is not None:
                 when, bucket, i = active
                 if when > until:
-                    return
+                    return False
                 self._active = None
             else:
                 if not times:
-                    return
+                    return False
                 when = times[0]
                 if when > until:
-                    return
-                pop(times)
+                    return False
+                _heappop(times)
                 maybe = buckets.pop(when, None)
                 if maybe is None:  # duplicate timestamp, already dispatched
                     continue
                 bucket = maybe
                 i = 0
+            plain = self.metrics is None and self.profile is None
             n = len(bucket)
             while i < n:
                 cb = bucket[i]
@@ -426,62 +342,11 @@ class Simulator:
                 # The clock moves only when something actually
                 # fires: an all-cancelled bucket must not advance it.
                 self._now = when
-                cb(*args)
-                if self._stopped:
-                    if i < n:
-                        self._active = (when, bucket, i)
-                    return
-
-    def _run_instrumented(self, until: Optional[float]) -> None:
-        """The same single-scan batch loop, with per-event instrumentation.
-
-        Mirrors :meth:`_run_fast` exactly (same batch walk, same
-        generation checks) so dispatch order cannot diverge; the only
-        additions are the per-event timing/metrics/profile calls, and a
-        per-event sink check so instrumentation attached mid-run by a
-        callback takes effect immediately (matching the historic
-        ``peek``/``step`` loop's behaviour).
-        """
-        if until is None:
-            until = math.inf
-        times = self._times
-        buckets = self._buckets
-        pop = _heappop
-        while not self._stopped:
-            active = self._active
-            if active is not None:
-                when, bucket, i = active
-                if when > until:
-                    return
-                self._active = None
-            else:
-                if not times:
-                    return
-                when = times[0]
-                if when > until:
-                    return
-                pop(times)
-                maybe = buckets.pop(when, None)
-                if maybe is None:
-                    continue
-                bucket = maybe
-                i = 0
-            n = len(bucket)
-            while i < n:
-                cb = bucket[i]
-                if cb is None:  # cancelled: tombstoned cell
-                    i += 2
-                    continue
-                args = bucket[i + 1]
-                bucket[i] = None  # fired: a late cancel is a no-op
-                i += 2
-                self._live -= 1
-                self._now = when
-                if self.metrics is None and self.profile is None:
+                if plain:
                     cb(*args)
                 else:
                     self._dispatch_instrumented(cb, args)
                 if self._stopped:
                     if i < n:
                         self._active = (when, bucket, i)
-                    return
+                    return True

@@ -14,6 +14,7 @@ workloads (§3.1):
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.sim.rng import (
@@ -42,8 +43,8 @@ class FlowSpec:
         tos: int = 0,
         name: str = "flow",
     ):
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration!r}")
+        if not 0 < duration < math.inf:  # also rejects NaN
+            raise ValueError(f"duration must be finite and positive, got {duration!r}")
         if meter not in ("owd", "rtt"):
             raise ValueError(f"meter must be 'owd' or 'rtt', got {meter!r}")
         self.idt = idt

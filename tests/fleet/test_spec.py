@@ -1,5 +1,7 @@
 """The fleet spec grammar: validation, sharding, payload round-trip."""
 
+import math
+
 import pytest
 
 from repro.fleet.spec import (
@@ -88,8 +90,12 @@ def test_validation_errors():
         FleetSpec(nodes=4, group_size=513)
     with pytest.raises(FleetSpecError):
         FleetSpec(nodes=4, kind="ftp")
-    with pytest.raises(FleetSpecError):
-        FleetSpec(nodes=4, duration=0.0)
+    for duration in (0.0, math.nan, math.inf):
+        with pytest.raises(FleetSpecError):
+            FleetSpec(nodes=4, duration=duration)
+    for stagger in (-1.0, math.nan, math.inf):
+        with pytest.raises(FleetSpecError):
+            FleetSpec(nodes=4, stagger=stagger)
     with pytest.raises(FleetSpecError):
         FleetSpec(nodes=4, slices=())
     with pytest.raises(FleetSpecError):

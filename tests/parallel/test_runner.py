@@ -1,6 +1,7 @@
 """The campaign runner's central promise: -j N never changes a result."""
 
 import json
+import math
 
 import pytest
 
@@ -55,8 +56,9 @@ class TestJobModel:
             chaos_jobs(repeats=0)
         with pytest.raises(KeyError):
             sweep_jobs("nope", seeds=[1], paths=["umts"], duration=1.0)
-        with pytest.raises(ValueError):
-            sweep_jobs("voip", seeds=[1], paths=["umts"], duration=0.0)
+        for duration in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sweep_jobs("voip", seeds=[1], paths=["umts"], duration=duration)
 
 
 class TestDeterministicMerge:

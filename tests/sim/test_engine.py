@@ -62,12 +62,12 @@ def test_negative_delay_rejected():
         sim.schedule(-0.1, lambda: None)
 
 
-def test_schedule_at_past_rejected():
+def test_post_at_past_rejected():
     sim = Simulator()
     sim.schedule(5.0, lambda: None)
     sim.run()
     with pytest.raises(ScheduleInPastError):
-        sim.schedule_at(1.0, lambda: None)
+        sim.post_at(1.0, lambda: None)
 
 
 def test_cancelled_event_does_not_fire():
@@ -122,16 +122,22 @@ def test_stop_halts_run():
     assert fired == ["a", "c"]
 
 
-def test_peek_skips_cancelled():
+def test_step_dispatches_after_run_ended_by_stop():
     sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    event.cancel()
-    assert sim.peek() == 2.0
-
-
-def test_peek_empty_returns_none():
-    assert Simulator().peek() is None
+    fired = []
+    sim.schedule(1.0, sim.stop)
+    sim.schedule(1.0, fired.append, "same-instant")
+    sim.schedule(2.0, fired.append, "later")
+    sim.run()
+    assert fired == []
+    # The stop flag left by run() must not make step() a no-op: the
+    # blocking vsys/DNS loops step the kernel after stopped runs.
+    assert sim.step() is True
+    assert fired == ["same-instant"]
+    assert sim.step() is True
+    assert fired == ["same-instant", "later"]
+    assert sim.now == 2.0
+    assert sim.step() is False
 
 
 def test_pending_count_excludes_cancelled():

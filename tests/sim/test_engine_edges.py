@@ -1,18 +1,19 @@
 """Edge-semantics tests for the engine's dispatch loop.
 
-These pin down the behaviours the fast-path rewrite must preserve:
+These pin down the behaviours the batch walk must preserve:
 cancellation of already-dispatched events, scheduling at exactly
 ``now``, ``run(until=...)`` boundary inclusivity, tie-break ordering
-under heavy same-timestamp load, and the schedule guards (negative,
-past, NaN).  The fast and instrumented loops are also run against the
-same workload to prove identical dispatch order.
+under heavy same-timestamp load, and the schedule and deadline guards
+(negative, past, NaN).  Plain and instrumented dispatch are also run
+against the same workload to prove identical dispatch order, and a
+registry attached mid-run must count from the next instant.
 """
 
 import math
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, TraceBus
 from repro.sim.engine import Simulator
 from repro.sim.errors import ScheduleInPastError
 
@@ -46,10 +47,10 @@ def test_cancel_own_event_during_dispatch():
     assert fired == ["ran"]
 
 
-def test_schedule_at_exactly_now_fires():
+def test_post_at_exactly_now_fires():
     sim = Simulator()
     fired = []
-    sim.schedule(3.0, lambda: sim.schedule_at(sim.now, fired.append, sim.now))
+    sim.schedule(3.0, lambda: sim.post_at(sim.now, fired.append, sim.now))
     sim.run()
     assert fired == [3.0]
     assert sim.now == 3.0
@@ -93,7 +94,7 @@ def test_negative_delay_and_past_time_raise():
     sim.schedule(2.0, lambda: None)
     sim.run()
     with pytest.raises(ScheduleInPastError):
-        sim.schedule_at(1.999999, lambda: None)
+        sim.post_at(1.999999, lambda: None)
 
 
 def test_nan_delay_and_time_rejected():
@@ -101,7 +102,15 @@ def test_nan_delay_and_time_rejected():
     with pytest.raises(ScheduleInPastError):
         sim.schedule(math.nan, lambda: None)
     with pytest.raises(ScheduleInPastError):
-        sim.schedule_at(math.nan, lambda: None)
+        sim.post_at(math.nan, lambda: None)
+    # A NaN deadline would compare false against every event time and
+    # drain the whole queue.
+    fired = []
+    sim.schedule(1.0, fired.append, "pending")
+    with pytest.raises(ScheduleInPastError):
+        sim.run(until=math.nan)
+    assert fired == []
+    assert sim.now == 0.0
 
 
 def test_stop_from_callback_halts_fast_path():
@@ -148,3 +157,21 @@ def test_fast_and_instrumented_paths_dispatch_identically():
     assert plain_sim.now == metered_sim.now
     dispatched = metered_sim.metrics.counter("engine.events_dispatched").value
     assert dispatched == len(metered_fired)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_registry_attached_mid_run_counts_from_next_instant(traced):
+    sim = Simulator()
+    if traced:
+        sim.trace = TraceBus(sim)
+    registry = MetricsRegistry()
+
+    def attach():
+        sim.metrics = registry
+
+    sim.schedule(1.0, attach)
+    sim.schedule(2.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    sim.schedule(3.0, lambda: None)
+    sim.run()
+    assert registry.counter("engine.events_dispatched").value == 3

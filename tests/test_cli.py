@@ -129,6 +129,24 @@ def test_report_rejects_bad_seed_spec(capsys):
     assert "bad seed range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration", ["nan", "inf", "0"])
+@pytest.mark.parametrize(
+    "command",
+    [["voip"], ["saturation"], ["sweep", "--seeds", "1", "--no-cache"],
+     ["report", "--campaign", "sweep", "--seeds", "1", "--no-cache"],
+     ["fleet", "--nodes", "2", "--no-cache"]],
+)
+def test_non_finite_duration_is_a_usage_error(command, duration, capsys):
+    # A NaN or infinite duration used to pass every check and hang the
+    # run (or, for fleet, end in a hung group) instead of a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--duration", duration])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "--duration: must be finite and positive" in err
+
+
 def test_voip_command(capsys):
     assert main(["--seed", "5", "voip", "--duration", "5"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Unit tests for flow specifications."""
 
+import math
+
 import pytest
 
 from repro.traffic.flows import (
@@ -51,8 +53,9 @@ def test_exponential_onoff_rate():
 
 
 def test_invalid_specs_rejected():
-    with pytest.raises(ValueError):
-        FlowSpec(ConstantVariate(0.01), ConstantVariate(100), duration=0)
+    for duration in (0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FlowSpec(ConstantVariate(0.01), ConstantVariate(100), duration=duration)
     with pytest.raises(ValueError):
         FlowSpec(ConstantVariate(0.01), ConstantVariate(100), meter="telepathy")
     with pytest.raises(ValueError):

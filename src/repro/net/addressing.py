@@ -2,13 +2,16 @@
 
 Thin wrappers over :mod:`ipaddress` so the rest of the code base can
 accept either strings or already-parsed objects, plus the well-known
-protocol numbers used throughout the stack.
+protocol numbers used throughout the stack.  The per-packet paths
+compare integers: they read an address's value from
+``IPv4Address._ip`` (what ``int()`` returns, without the call) and a
+prefix's from :func:`prefix_ints`.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from typing import Union
+from typing import Tuple, Union
 
 IPv4Address = ipaddress.IPv4Address
 IPv4Network = ipaddress.IPv4Network
@@ -48,6 +51,17 @@ def network(value: NetworkLike) -> IPv4Network:
     if "/" not in value:
         return IPv4Network(f"{value}/32")
     return IPv4Network(value, strict=False)
+
+
+def prefix_ints(prefix: IPv4Network) -> Tuple[int, int, int]:
+    """``(network, netmask, prefixlen)`` of ``prefix`` as integers.
+
+    ``addr & netmask == network`` is then the same test as
+    ``addr in prefix`` for an address's integer value.
+    """
+    network_int: int = prefix.network_address._ip  # type: ignore[attr-defined]
+    mask_int: int = prefix.netmask._ip  # type: ignore[attr-defined]
+    return network_int, mask_int, prefix.prefixlen
 
 
 def proto_name(proto: int) -> str:

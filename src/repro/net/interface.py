@@ -56,6 +56,8 @@ class Interface:
             raise ValueError(f"invalid prefix length {prefix_len!r}")
         self.address = ip(address)
         self.prefix_len = prefix_len
+        if self.stack is not None:
+            self.stack._local_ints = None
 
     def connected_network(self) -> Optional[IPv4Network]:
         """The directly connected prefix, or ``None`` if unconfigured."""
@@ -90,7 +92,7 @@ class Interface:
         """
         if not self.up or self._channel is None:
             raise InterfaceDownError(f"{self.name} is down or not attached")
-        if packet.length > self.mtu + 20:
+        if packet.length > self.mtu:
             self.tx_dropped += 1
             return
         accepted = self._channel.send(packet)
@@ -157,6 +159,8 @@ class PPPInterface(Interface):
         self.address = ip(local)
         self.prefix_len = 32
         self.peer_address = ip(peer)
+        if self.stack is not None:
+            self.stack._local_ints = None
 
     def connected_network(self) -> Optional[IPv4Network]:
         """PPP links expose the peer as a /32 host route."""

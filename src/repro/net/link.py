@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random as _random
 from collections import deque
+from operator import attrgetter
 from typing import Callable, Deque, Optional
 
 from repro.net.interface import Interface
@@ -83,7 +84,7 @@ class Channel:
         self.jitter = jitter
         self._rng = rng
         self.name = name
-        self._length_of = length_of if length_of is not None else (lambda item: item.length)
+        self._length_of = length_of if length_of is not None else attrgetter("length")
         self._queue: Deque[Packet] = deque()
         self._queued_bytes = 0
         self._busy = False

@@ -20,7 +20,7 @@ Input
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.net.addressing import (
     PROTO_ICMP,
@@ -74,6 +74,9 @@ class IPStack:
         self._bwlimiters: Dict[str, object] = {}
         self._next_ephemeral = EPHEMERAL_PORT_START
         self._echo_listeners: Dict[int, Callable[[Packet], None]] = {}
+        #: integer values of the interface addresses, built on demand by
+        #: :meth:`is_local_address`; ``None`` once an address changes.
+        self._local_ints: Optional[FrozenSet[int]] = None
         # counters
         self.sent_packets = 0
         self.delivered_packets = 0
@@ -93,6 +96,7 @@ class IPStack:
             raise ValueError(f"interface {iface.name!r} already exists on {self.name}")
         iface.stack = self
         self.interfaces[iface.name] = iface
+        self._local_ints = None
         return iface
 
     def remove_interface(self, name: str) -> None:
@@ -106,6 +110,7 @@ class IPStack:
             raise KeyError(f"no interface {name!r} on {self.name}")
         iface.bring_down()
         iface.stack = None
+        self._local_ints = None
         self.rpdb.purge_dev(name)
 
     def iface(self, name: str) -> Interface:
@@ -131,10 +136,15 @@ class IPStack:
 
     def is_local_address(self, addr: AddressLike) -> bool:
         """Whether ``addr`` belongs to this node (incl. 127/8)."""
-        address = ip(addr)
-        if address.is_loopback:
+        value = ip(addr)._ip  # type: ignore[attr-defined]
+        if value >> 24 == 127:
             return True
-        return any(i.address == address for i in self.interfaces.values())
+        local = self._local_ints
+        if local is None:
+            local = self._local_ints = frozenset(
+                int(i.address) for i in self.interfaces.values() if i.address is not None
+            )
+        return value in local
 
     # -- sockets --------------------------------------------------------
 
@@ -200,7 +210,7 @@ class IPStack:
         (a failing ``sendto(2)`` with EHOSTUNREACH); filter drops are
         silent, as they are for real UDP senders.
         """
-        packet.sent_at = self.sim.now
+        now = packet.sent_at = self.sim.now
         if self.is_local_address(packet.dst):
             # Local delivery short-circuits through loopback semantics.
             self.sent_packets += 1
@@ -209,7 +219,7 @@ class IPStack:
             self._local_deliver(packet, self.interfaces["lo"])
             return
         # mangle/OUTPUT first: a MARK set here steers the route lookup.
-        if not self.netfilter.run_chain("mangle", HOOK_OUTPUT, packet, now=self.sim.now):
+        if not self.netfilter.run_chain("mangle", HOOK_OUTPUT, packet, now=now):
             self.dropped_filter += 1
             return
         src = packet.src if packet.src != UNSPECIFIED else None
@@ -229,12 +239,12 @@ class IPStack:
             elif out_iface is not None and out_iface.address is not None:
                 packet.src = out_iface.address
         if not self.netfilter.run_chain(
-            "filter", HOOK_OUTPUT, packet, out_iface=route.dev, now=self.sim.now
+            "filter", HOOK_OUTPUT, packet, out_iface=route.dev, now=now
         ):
             self.dropped_filter += 1
             return
         if not self.netfilter.run_hook(
-            HOOK_POSTROUTING, packet, out_iface=route.dev, now=self.sim.now
+            HOOK_POSTROUTING, packet, out_iface=route.dev, now=now
         ):
             self.dropped_filter += 1
             return
@@ -245,15 +255,12 @@ class IPStack:
 
     def receive(self, packet: Packet, iface: Interface) -> None:
         """A packet arrived on ``iface``."""
-        if not self.netfilter.run_hook(
-            HOOK_PREROUTING, packet, in_iface=iface.name, now=self.sim.now
-        ):
+        now = self.sim.now
+        if not self.netfilter.run_hook(HOOK_PREROUTING, packet, in_iface=iface.name, now=now):
             self.dropped_filter += 1
             return
         if self.is_local_address(packet.dst) or iface.name == "lo":
-            if not self.netfilter.run_hook(
-                HOOK_INPUT, packet, in_iface=iface.name, now=self.sim.now
-            ):
+            if not self.netfilter.run_hook(HOOK_INPUT, packet, in_iface=iface.name, now=now):
                 self.dropped_filter += 1
                 return
             self._local_deliver(packet, iface)
@@ -276,12 +283,12 @@ class IPStack:
             packet,
             in_iface=iface.name,
             out_iface=route.dev,
-            now=self.sim.now,
+            now=now,
         ):
             self.dropped_filter += 1
             return
         if not self.netfilter.run_hook(
-            HOOK_POSTROUTING, packet, out_iface=route.dev, now=self.sim.now
+            HOOK_POSTROUTING, packet, out_iface=route.dev, now=now
         ):
             self.dropped_filter += 1
             return

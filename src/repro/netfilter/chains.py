@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.netfilter.matches import Match
@@ -172,6 +172,11 @@ class Netfilter:
             "mangle": Table("mangle"),
             "filter": Table("filter"),
         }
+        #: Each hook's built-in chains in table order, resolved once.
+        self._hook_chains: Dict[str, Tuple[Chain, ...]] = {
+            hook: tuple([self.tables[name].chains[hook] for name in table_names])
+            for hook, table_names in HOOK_TABLE_ORDER.items()
+        }
         self.dropped = 0
         #: optional :class:`~repro.obs.MetricsRegistry`; when bound, the
         #: dispatcher counts marked and dropped packets per slice xid.
@@ -218,18 +223,7 @@ class Netfilter:
         now: Optional[float] = None,
     ) -> bool:
         """Run every table registered at ``hook``; False means DROP."""
-        ctx = PacketContext(packet, hook, in_iface=in_iface, out_iface=out_iface, now=now)
-        mark_before = packet.mark
-        for table_name in HOOK_TABLE_ORDER[hook]:
-            chain = self.tables[table_name].chains.get(hook)
-            if chain is None:
-                continue
-            verdict = chain.traverse(ctx)
-            if verdict == Verdict.DROP:
-                self._note_drop(packet, hook)
-                return False
-        self._note_mark(packet, mark_before)
-        return True
+        return self._run(self._hook_chains[hook], hook, packet, in_iface, out_iface, now)
 
     def run_chain(
         self,
@@ -247,13 +241,38 @@ class Netfilter:
         while ``filter/OUTPUT`` runs after, once the output interface is
         known.
         """
-        ctx = PacketContext(packet, hook, in_iface=in_iface, out_iface=out_iface, now=now)
         chain = self.tables[table].chains.get(hook)
         if chain is None:
             return True
+        return self._run((chain,), hook, packet, in_iface, out_iface, now)
+
+    def _run(
+        self,
+        chains: Tuple[Chain, ...],
+        hook: str,
+        packet: Packet,
+        in_iface: Optional[str],
+        out_iface: Optional[str],
+        now: Optional[float],
+    ) -> bool:
+        """Traverse built-in ``chains`` in order; False means DROP.
+
+        A chain with no rules costs one check: it counts the packet
+        against its policy and returns it.  The :class:`PacketContext`
+        is built only when some chain has rules to look at it.
+        """
+        ctx = None
         mark_before = packet.mark
-        if chain.traverse(ctx) == Verdict.DROP:
-            self._note_drop(packet, hook)
-            return False
+        for chain in chains:
+            if chain.rules:
+                if ctx is None:
+                    ctx = PacketContext(packet, hook, in_iface, out_iface, now)
+                verdict = chain.traverse(ctx)
+            else:
+                chain.policy_packets += 1
+                verdict = chain.policy
+            if verdict is Verdict.DROP:
+                self._note_drop(packet, hook)
+                return False
         self._note_mark(packet, mark_before)
         return True

@@ -20,6 +20,7 @@ from repro.net.addressing import (
     NetworkLike,
     ip,
     network,
+    prefix_ints,
 )
 from repro.routing.table import Route, RoutingTable
 
@@ -40,7 +41,7 @@ class Rule:
     "match anything" for that field.
     """
 
-    __slots__ = ("pref", "table", "src", "fwmark", "iif")
+    __slots__ = ("pref", "table", "src", "fwmark", "iif", "_src_net", "_src_mask")
 
     def __init__(
         self,
@@ -55,6 +56,10 @@ class Rule:
         self.src: Optional[IPv4Network] = network(src) if src is not None else None
         self.fwmark = fwmark
         self.iif = iif
+        # The ``from`` prefix as integers (unused when ``src`` is None).
+        self._src_net = self._src_mask = 0
+        if self.src is not None:
+            self._src_net, self._src_mask, _ = prefix_ints(self.src)
 
     def matches(
         self,
@@ -64,7 +69,9 @@ class Rule:
         iif: Optional[str],
     ) -> bool:
         """Whether the selector accepts this packet."""
-        if self.src is not None and (src is None or src not in self.src):
+        if self.src is not None and (
+            src is None or src._ip & self._src_mask != self._src_net  # type: ignore[attr-defined]
+        ):
             return False
         if self.fwmark is not None and mark != self.fwmark:
             return False

@@ -11,6 +11,7 @@ from repro.net.addressing import (
     NetworkLike,
     ip,
     network,
+    prefix_ints,
 )
 
 
@@ -23,7 +24,7 @@ class Route:
     used to break ties between equal-length prefixes.
     """
 
-    __slots__ = ("prefix", "via", "dev", "src", "metric")
+    __slots__ = ("prefix", "via", "dev", "src", "metric", "_net", "_mask", "_plen")
 
     def __init__(
         self,
@@ -38,10 +39,9 @@ class Route:
         self.via: Optional[IPv4Address] = ip(via) if via is not None else None
         self.src: Optional[IPv4Address] = ip(src) if src is not None else None
         self.metric = metric
-
-    def matches(self, dst: IPv4Address) -> bool:
-        """True when ``dst`` falls inside this route's prefix."""
-        return dst in self.prefix
+        # The prefix as integers, so lookups compare ints rather than
+        # going through ``IPv4Network.__contains__``.
+        self._net, self._mask, self._plen = prefix_ints(self.prefix)
 
     def key(self) -> tuple:
         """Identity key used for replace/delete semantics."""
@@ -128,26 +128,21 @@ class RoutingTable:
 
     def lookup(self, dst: AddressLike, oif: Optional[str] = None) -> Optional[Route]:
         """Longest-prefix match; ties broken by lowest metric, then
-        most-recent install (Linux picks the first found; we keep it
+        earliest install (Linux picks the first found; we keep it
         deterministic).  ``oif`` restricts candidates to one output
         device (the SO_BINDTODEVICE-constrained lookup)."""
-        destination = ip(dst)
+        destination = ip(dst)._ip  # type: ignore[attr-defined]
         best: Optional[Route] = None
+        best_plen = -1
+        best_metric = 0
         for route in self._routes:
-            if not route.matches(destination):
+            if destination & route._mask != route._net:
                 continue
             if oif is not None and route.dev != oif:
                 continue
-            if best is None:
-                best = route
-                continue
-            if route.prefix.prefixlen > best.prefix.prefixlen:
-                best = route
-            elif (
-                route.prefix.prefixlen == best.prefix.prefixlen
-                and route.metric < best.metric
-            ):
-                best = route
+            plen = route._plen
+            if plen > best_plen or (plen == best_plen and route.metric < best_metric):
+                best, best_plen, best_metric = route, plen, route.metric
         return best
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

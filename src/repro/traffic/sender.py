@@ -6,7 +6,7 @@ import itertools
 import random as _random
 from typing import Optional
 
-from repro.net.addressing import AddressLike
+from repro.net.addressing import AddressLike, ip
 from repro.net.errors import NetworkError
 from repro.net.socket import UDPSocket
 from repro.obs.metrics import LATENCY_BUCKETS
@@ -41,7 +41,7 @@ class ItgSender:
     ):
         self.sim = sim
         self.socket = socket
-        self.dst = dst
+        self.dst = ip(dst)
         self.spec = spec
         self.rng = rng
         self.flow_id = flow_id if flow_id is not None else next(_flow_ids)

@@ -58,6 +58,25 @@ def test_oversized_packet_dropped_not_raised():
     assert iface.tx_packets == 0
 
 
+def test_mtu_bounds_the_whole_datagram():
+    # ``length`` already counts the IP header, so a datagram exactly
+    # ``mtu`` bytes long fits and one byte more does not.
+    sim = Simulator()
+    got = []
+    iface = EthernetInterface("eth0", mtu=100)
+    iface.attach(Channel(sim, got.append, rate_bps=1e6, delay=0.0))
+    iface.bring_up()
+    fits = Packet("10.0.0.1", size=72)
+    too_big = Packet("10.0.0.1", size=73)
+    assert (fits.length, too_big.length) == (100, 101)
+    iface.transmit(fits)
+    iface.transmit(too_big)
+    sim.run()
+    assert got == [fits]
+    assert iface.tx_packets == 1
+    assert iface.tx_dropped == 1
+
+
 def test_counters_track_traffic():
     sim = Simulator()
     a = EthernetInterface("eth0")

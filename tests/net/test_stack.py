@@ -4,9 +4,10 @@ import pytest
 
 from repro.net.errors import AddressInUseError, NoRouteError
 from repro.net.icmp import Pinger
-from repro.net.interface import EthernetInterface
+from repro.net.interface import EthernetInterface, PPPInterface
 from repro.net.link import Link
 from repro.net.stack import IPStack
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 
 
@@ -276,3 +277,51 @@ def test_is_local_address(sim):
     assert alice.is_local_address("10.0.0.1")
     assert alice.is_local_address("127.0.0.1")
     assert not alice.is_local_address("10.0.0.2")
+
+
+def test_is_local_address_follows_configure_interface(sim):
+    alice, _ = two_nodes(sim)
+    assert alice.is_local_address("10.0.0.1")
+    alice.configure_interface(alice.iface("eth0"), "10.0.0.9", 24)
+    assert alice.is_local_address("10.0.0.9")
+    assert not alice.is_local_address("10.0.0.1")
+
+
+def test_is_local_address_follows_ppp_renumber(sim):
+    # pppd re-dials hand ppp0 a fresh address each time.
+    alice = IPStack(sim, "alice")
+    ppp = alice.add_interface(PPPInterface("ppp0"))
+    ppp.configure_p2p("10.64.0.1", "10.64.0.254")
+    assert alice.is_local_address("10.64.0.1")
+    assert not alice.is_local_address("10.64.0.254")
+    ppp.configure_p2p("10.64.0.2", "10.64.0.254")
+    assert alice.is_local_address("10.64.0.2")
+    assert not alice.is_local_address("10.64.0.1")
+
+
+def test_is_local_address_follows_add_and_remove_interface(sim):
+    alice = IPStack(sim, "alice")
+    eth = EthernetInterface("eth1")
+    eth.configure("192.0.2.7", 24)
+    assert not alice.is_local_address("192.0.2.7")
+    alice.add_interface(eth)
+    assert alice.is_local_address("192.0.2.7")
+    alice.remove_interface("eth1")
+    assert not alice.is_local_address("192.0.2.7")
+    assert alice.is_local_address("127.0.0.1")
+
+
+def test_drop_policy_on_empty_filter_output(sim):
+    alice, bob = two_nodes(sim)
+    metrics = MetricsRegistry()
+    alice.netfilter.metrics = metrics
+    alice.iptables.run("-P OUTPUT DROP")
+    server = bob.socket()
+    server.bind(port=9)
+    alice.socket().sendto("blocked", 7, "10.0.0.2", 9)
+    sim.run()
+    assert server.rx_packets == 0
+    assert alice.dropped_filter == 1
+    assert alice.netfilter.dropped == 1
+    assert metrics.counter("netfilter.dropped").value == 1
+    assert alice.netfilter.table("filter").chain("OUTPUT").policy_packets == 1

@@ -9,7 +9,8 @@ from repro.routing.table import Route, RoutingTable
 
 
 def brute_force_lookup(routes, dst):
-    """The specification: longest matching prefix, lowest metric."""
+    """The specification: longest matching prefix, lowest metric, then
+    the earliest installed route."""
     best = None
     for route in routes:
         if dst not in route.prefix:
@@ -55,13 +56,9 @@ def test_lookup_matches_brute_force(routes, dst):
         except ValueError:
             continue  # duplicate key generated; spec keeps the first
     found = table.lookup(dst)
-    expected = brute_force_lookup(list(table), dst)
-    if expected is None:
-        assert found is None
-    else:
-        assert found is not None
-        assert found.prefix.prefixlen == expected.prefix.prefixlen
-        assert found.metric == expected.metric
+    # Identity, not just equal prefixlen/metric: a tie must go to the
+    # same (earliest installed) route the reference picks.
+    assert found is brute_force_lookup(list(table), dst)
 
 
 @given(routes_strategy, addresses)

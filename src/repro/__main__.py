@@ -30,9 +30,9 @@ The commands, in the order of the paper's narrative:
   experiment across every node-pair, and fairness/starvation metrics
   (see docs/FLEET.md).
 
-``lint``, ``chaos``, ``sweep``, ``report`` and ``fleet`` all run
-through the campaign runner (:mod:`repro.parallel`): ``-j N`` shards
-jobs across processes without changing a byte of the merged output.
+``chaos``, ``sweep``, ``report`` and ``fleet`` all run through the
+campaign runner (:mod:`repro.parallel`): ``-j N`` shards jobs across
+processes without changing a byte of the merged output.
 """
 
 from __future__ import annotations
@@ -181,15 +181,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     import repro
-    from repro.lint import (
-        RULES,
-        UnknownRuleError,
-        human_report,
-        jsonl_report,
-        lint_campaign,
-        lint_paths,
-        ruleset_digest,
-    )
+    from repro.lint import RULES, UnknownRuleError, human_report, jsonl_report, lint_paths
 
     if args.list_rules:
         for rule_id in sorted(RULES):
@@ -197,27 +189,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"{rule_id:<20} {rule.severity.value:<8} {rule.description}")
         return 0
     paths = args.paths or [str(Path(repro.__file__).parent)]
-    campaign = None
+    for path in paths:
+        if not Path(path).exists():
+            print(f"lint: no such file or directory: {path}", file=sys.stderr)
+            return 2
     try:
-        if args.jobs == 1 and args.no_cache:
-            findings = lint_paths(paths, rule_ids=args.rule or None)
-        else:
-            # The cache's source digest is the lint package itself, not
-            # the whole tree: per-file content digests in the job keys
-            # cover source edits, so only analyzer changes flush it.
-            cache = None
-            if not args.no_cache:
-                from repro.parallel import ResultCache
-
-                cache = ResultCache(
-                    root=args.cache_dir,
-                    source_digest=f"lint:{ruleset_digest()}",
-                )
-            findings, campaign = lint_campaign(
-                paths, rule_ids=args.rule or None,
-                workers=args.jobs, cache=cache,
-            )
-            _report_cache(args, cache)
+        findings = lint_paths(paths, rule_ids=args.rule or None)
     except UnknownRuleError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         print(f"available: {', '.join(exc.known)}", file=sys.stderr)
@@ -233,9 +210,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         for line in human_report(findings):
             print(line)
-    if campaign is not None and args.jobs != 1:
-        print(f"campaign: {len(campaign.results)} file(s) across "
-              f"{campaign.workers} worker(s) in {campaign.wall_s:.2f}s")
     checked = "all rules" if not args.rule else ", ".join(args.rule)
     print(f"lint: {len(findings)} finding(s) ({checked})")
     return 1 if findings else 0
@@ -324,6 +298,14 @@ def _duration(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:  # also rejects NaN
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    """argparse type for ``--jobs``: a worker count, 0 meaning one per CPU."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -635,7 +617,6 @@ def main(argv=None) -> int:
         "--list-rules", action="store_true",
         help="list registered rules and exit",
     )
-    _add_campaign_args(lint_parser)
     chaos_parser = sub.add_parser(
         "chaos", help="fault-injection campaign over the dial-up stack"
     )
@@ -790,7 +771,7 @@ def main(argv=None) -> int:
 def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
     """The shared campaign flags: sharding and result caching."""
     parser.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
+        "-j", "--jobs", type=_jobs, default=1, metavar="N",
         help="worker processes (1: in-process; 0: one per CPU)",
     )
     parser.add_argument(

@@ -32,17 +32,16 @@ Three rule families guard the properties the reproduction depends on:
   reaches its matching release on all control-flow paths, exception
   edges included, proven over the intra-function CFG
   (:mod:`repro.lint.cfg`); stored resources and ``ip``/``iptables``
-  installs must pair class-wide (:mod:`repro.lint.project`);
+  installs must pair class-wide (the runner's project phase);
 - **lease protocol** (:mod:`repro.lint.rules.lease`) — FleetController
   lease sites await and destructure the ticket outcome, handle
   ``"failed"`` explicitly, subscribe to ``ticket.revoked`` before the
   next yield (PR 7's lost-wakeup fix), and keep
   ``controller.release`` on every exception path.
 
-The runner shards per-file work through :mod:`repro.parallel`
-(``repro lint -j N``) with a content-addressed result cache keyed by
-file digest + rule-set digest; findings are byte-identical at any
-worker count.
+The runner (:mod:`repro.lint.runner`) is one in-process pass: each
+module's tree is walked once and the rules share that walk, so there
+is no sharding and no result cache.
 
 Findings are suppressed per line with ``# lint: allow(<rule-id>)``
 pragmas (see :func:`repro.lint.core.parse_pragmas`).  The CLI entry is
@@ -61,13 +60,7 @@ from repro.lint.core import (
     register,
 )
 from repro.lint.report import human_report, jsonl_report
-from repro.lint.runner import (
-    iter_python_files,
-    lint_campaign,
-    lint_file,
-    lint_paths,
-    ruleset_digest,
-)
+from repro.lint.runner import iter_python_files, lint_paths
 
 # Importing the rule modules registers every rule in RULES.
 from repro.lint.rules import (  # noqa: F401  (registration)
@@ -91,9 +84,6 @@ __all__ = [
     "human_report",
     "iter_python_files",
     "jsonl_report",
-    "lint_campaign",
-    "lint_file",
     "lint_paths",
     "register",
-    "ruleset_digest",
 ]

@@ -21,10 +21,24 @@ import ast
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Type, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
 
 
 class Severity(Enum):
@@ -60,18 +74,6 @@ class Finding:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict`; used by the sharded runner."""
-        return cls(
-            rule=data["rule"],
-            severity=Severity(data["severity"]),
-            path=data["path"],
-            line=data["line"],
-            col=data["col"],
-            message=data["message"],
-        )
-
 
 _PRAGMA_RE = re.compile(r"#\s*lint:\s*allow\(\s*([A-Za-z0-9_\s,-]+?)\s*\)")
 
@@ -103,13 +105,30 @@ def parse_pragmas(source: str) -> Dict[int, FrozenSet[str]]:
 
 
 class LintModule:
-    """One parsed source file, ready for rule inspection."""
+    """One parsed source file, ready for rule inspection.
+
+    Rules share per-module work: :attr:`nodes` is the one walk of the
+    tree, and :meth:`shared` runs any other per-module analysis once,
+    however many rules ask for it.
+    """
 
     def __init__(self, path: PathLike, source: str) -> None:
         self.path = Path(path)
         self.source = source
         self.tree = ast.parse(source, filename=str(path))
         self.allows = parse_pragmas(source)
+        self._shared: Dict[Callable[["LintModule"], Any], Any] = {}
+
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of :attr:`tree`, in ``ast.walk`` order."""
+        return list(ast.walk(self.tree))
+
+    def shared(self, compute: Callable[["LintModule"], T]) -> T:
+        """``compute(self)``, computed on first use and reused after."""
+        if compute not in self._shared:
+            self._shared[compute] = compute(self)
+        return self._shared[compute]
 
     @classmethod
     def from_path(cls, path: PathLike) -> "LintModule":
@@ -163,11 +182,7 @@ class Rule:
         )
 
     def summarize(self, module: LintModule) -> Optional[Any]:
-        """Per-file contribution to the project phase, or ``None``.
-
-        Must be JSON-able: contributions travel through campaign
-        workers and the result cache as plain data.
-        """
+        """Per-file contribution to the project phase, or ``None``."""
         return None
 
     def finish(self, contributions: List[Tuple[str, Any]]) -> Iterable[Finding]:

@@ -10,7 +10,7 @@ for ``random.Random`` (the named-stream family) and is exempt.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.core import Finding, LintModule, Rule, Severity, register
 
@@ -39,7 +39,7 @@ _WALLCLOCK = {
 _RNG_HOME = ("sim", "rng.py")
 
 
-def _build_aliases(tree: ast.AST) -> Dict[str, str]:
+def _build_aliases(nodes: Iterable[ast.AST]) -> Dict[str, str]:
     """Map local binding names to the dotted origin they import.
 
     ``import time`` → ``{"time": "time"}``; ``import random as _random``
@@ -47,7 +47,7 @@ def _build_aliases(tree: ast.AST) -> Dict[str, str]:
     ``{"datetime": "datetime.datetime"}``.
     """
     aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname is not None:
@@ -76,13 +76,19 @@ def _resolve(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def _resolved_calls(module: LintModule) -> Iterator[Tuple[ast.Call, str]]:
-    aliases = _build_aliases(module.tree)
-    for node in ast.walk(module.tree):
+def _resolved_calls(module: LintModule) -> List[Tuple[ast.Call, str]]:
+    """Every call whose callee resolves to an import, with its origin.
+
+    Rules read it through ``module.shared`` so it runs once per module.
+    """
+    aliases = _build_aliases(module.nodes)
+    pairs = []
+    for node in module.nodes:
         if isinstance(node, ast.Call):
             origin = _resolve(node.func, aliases)
             if origin is not None:
-                yield node, origin
+                pairs.append((node, origin))
+    return pairs
 
 
 def _in_rng_home(module: LintModule) -> bool:
@@ -102,7 +108,7 @@ class WallClockRule(Rule):
     )
 
     def check(self, module: LintModule) -> Iterable[Finding]:
-        for node, origin in _resolved_calls(module):
+        for node, origin in module.shared(_resolved_calls):
             if origin in _WALLCLOCK:
                 yield self.finding(
                     module,
@@ -126,7 +132,7 @@ class UnseededRandomRule(Rule):
     def check(self, module: LintModule) -> Iterable[Finding]:
         if _in_rng_home(module):
             return
-        for node, origin in _resolved_calls(module):
+        for node, origin in module.shared(_resolved_calls):
             if origin == "random.Random":
                 if not node.args and not node.keywords:
                     yield self.finding(
@@ -162,7 +168,7 @@ class DirectRngRule(Rule):
     def check(self, module: LintModule) -> Iterable[Finding]:
         if _in_rng_home(module):
             return
-        for node, origin in _resolved_calls(module):
+        for node, origin in module.shared(_resolved_calls):
             if origin == "random.Random" and (node.args or node.keywords):
                 yield self.finding(
                     module,
@@ -199,7 +205,7 @@ class SetIterationRule(Rule):
     )
 
     def check(self, module: LintModule) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.For) and _is_set_expr(node.iter):
                 yield self.finding(module, node.iter, self._MESSAGE)
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
@@ -226,7 +232,7 @@ class IdOrderingRule(Rule):
     )
 
     def check(self, module: LintModule) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Name) and node.func.id == "id":

@@ -249,7 +249,7 @@ class FsmPolicyOverrideRule(Rule):
     )
 
     def check(self, module: LintModule) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             base_names = []

@@ -180,6 +180,14 @@ class LeaseProtocolRule(Rule):
         parts = module.repro_parts
         if parts is not None and parts[: len(_LEASE_HOME)] == _LEASE_HOME:
             return
+        # Only functions calling controller.request/release have lease
+        # sites; most modules have none, so skip their per-function scans.
+        if not any(
+            isinstance(node, ast.Call)
+            and (_controller_call(node, "request") or _controller_call(node, "release"))
+            for node in module.nodes
+        ):
+            return
         for func in function_defs(module.tree):
             yield from self._check_function(module, func)
 

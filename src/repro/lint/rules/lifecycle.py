@@ -5,7 +5,7 @@ interface lock, install the netfilter/RPDB isolation, spawn pppd, open
 a trace span — and three of the last four PRs fixed *dynamically*
 discovered leaks of exactly those pairs.  This rule proves the pairing
 statically, over the intra-function CFG (:mod:`repro.lint.cfg`) and a
-whole-program class index (:mod:`repro.lint.project`):
+whole-program class index (the runner's project phase):
 
 Per function (CFG checks):
 
@@ -46,16 +46,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.lint.cfg import (
     EXIT_NORMAL,
@@ -243,6 +234,22 @@ class _FunctionScan:
     attr_escapes: Dict[str, str] = field(default_factory=dict)
     #: ``if <key> ...:`` statements guarding a same-key release.
     guard_ifs: List[Tuple[str, ast.If]] = field(default_factory=list)
+    #: ``ip``/``iptables`` commands: ("install" | "remove", key, text, call).
+    commands: List[Tuple[str, str, str, ast.Call]] = field(default_factory=list)
+
+
+class _ClassSummary(NamedTuple):
+    """One class's contribution to the class-wide pairing check.
+
+    Each stored acquire and each install carries the finding it becomes
+    if no method of the class (in any file) releases or removes it.
+    """
+
+    name: str
+    acquires: List[Tuple[Tuple[str, str], Finding]]  # ((protocol, key), finding)
+    releases: Set[Tuple[str, str]]  # (protocol, key)
+    installs: List[Tuple[str, Finding]]  # (removal key, finding)
+    removes: Set[str]
 
 
 def _assign_pairs(stmt: ast.Assign) -> Iterable[Tuple[ast.expr, ast.expr]]:
@@ -269,6 +276,9 @@ def scan_function(func: FunctionDefLike) -> _FunctionScan:
             released = _match_release(node)
             if released is not None:
                 scan.releases.append(_Release(released[0], released[1], stmt))
+            command = _match_command(node)
+            if command is not None:
+                scan.commands.append((*command, node))
             acquired = _match_acquire_call(node)
             if acquired is None or in_with:
                 continue  # `with` acquires release via __exit__
@@ -306,6 +316,19 @@ def scan_function(func: FunctionDefLike) -> _FunctionScan:
                             scan.guard_ifs.append((key, stmt))
                             break
     return scan
+
+
+def _function_scans(module: LintModule) -> Dict[FunctionDefLike, _FunctionScan]:
+    """:func:`scan_function` of every def in ``module``, in walk order.
+
+    Keyed by the def node itself; ``check`` and ``summarize`` read it
+    through ``module.shared`` so each function is scanned once.
+    """
+    return {
+        node: scan_function(node)
+        for node in module.nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
 
 
 def _result_binding(
@@ -402,8 +425,7 @@ class ResourceLifecycleRule(Rule):
         active = [p for p in PROTOCOLS if not _module_is_home(module, p)]
         if not active:
             return
-        for func in function_defs(module.tree):
-            scan = scan_function(func)
+        for func, scan in module.shared(_function_scans).items():
             relevant = (
                 any(a.proto in active for a in scan.acquires)
                 or any(a.proto in active for a in scan.discarded)
@@ -498,25 +520,24 @@ class ResourceLifecycleRule(Rule):
 
     # -- project phase: class-wide pairing ------------------------------
 
-    def summarize(self, module: LintModule) -> Optional[Any]:
-        classes = []
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            entry = self._summarize_class(module, cls)
-            if entry is not None:
-                classes.append(entry)
-        return {"classes": classes} if classes else None
+    def summarize(self, module: LintModule) -> Optional[List[_ClassSummary]]:
+        scans = module.shared(_function_scans)
+        classes = [
+            self._summarize_class(module, cls, scans)
+            for cls in module.nodes
+            if isinstance(cls, ast.ClassDef)
+        ]
+        return classes or None
 
     def _summarize_class(
-        self, module: LintModule, cls: ast.ClassDef
-    ) -> Optional[Dict[str, Any]]:
-        acquires: List[List[Any]] = []
-        releases: List[List[str]] = []
-        installs: List[List[Any]] = []
-        removes: List[List[str]] = []
+        self,
+        module: LintModule,
+        cls: ast.ClassDef,
+        scans: Dict[FunctionDefLike, _FunctionScan],
+    ) -> _ClassSummary:
+        entry = _ClassSummary(cls.name, [], set(), [], set())
         for func in function_defs(cls):
-            scan = scan_function(func)
+            scan = scans[func]
             for acquire in scan.acquires:
                 if _module_is_home(module, acquire.proto) or acquire.key is None:
                     continue
@@ -526,109 +547,52 @@ class ResourceLifecycleRule(Rule):
                         key = scan.attr_escapes[acquire.bound_local]
                     else:
                         continue  # function-local ownership: CFG checks cover it
-                acquires.append(
-                    [
-                        acquire.proto.name,
-                        _normalize(key),
-                        acquire.call.lineno,
-                        acquire.call.col_offset,
-                    ]
+                key = _normalize(key)
+                proto = acquire.proto
+                finding = self.finding(
+                    module,
+                    acquire.call,
+                    f"{proto.name} stored into '{key}' has no matching "
+                    f"release ({_fmt(proto.release)}) anywhere in class {cls.name}",
                 )
+                entry.acquires.append(((proto.name, key), finding))
             for release in scan.releases:
                 if _module_is_home(module, release.proto):
                     continue
                 key = scan.aliases.get(release.key, release.key)
-                releases.append([release.proto.name, _normalize(key)])
-            for stmt in scope_statements(func):
-                for node in stmt_exprs(stmt):
-                    if isinstance(node, ast.Call):
-                        self._collect_command(node, installs, removes)
-        if not (acquires or releases or installs or removes):
-            return None
-        return {
-            "class": cls.name,
-            "acquires": acquires,
-            "releases": releases,
-            "installs": installs,
-            "removes": removes,
-        }
-
-    def _collect_command(
-        self, call: ast.Call, installs: List[List[Any]], removes: List[List[str]]
-    ) -> None:
-        if (
-            not isinstance(call.func, ast.Attribute)
-            or call.func.attr != "run"
-            or not call.args
-        ):
-            return
-        receiver = expr_key(call.func.value)
-        if receiver is None or _last(receiver) not in _COMMAND_RECEIVERS:
-            return
-        text = _render_command(call.args[0])
-        if text is None:
-            return
-        parsed = _parse_command(_last(receiver), text)
-        if parsed is None:
-            return
-        kind, key = parsed
-        if kind == "install":
-            installs.append([key, text, call.lineno, call.col_offset])
-        else:
-            removes.append([key])
-
-    def finish(self, contributions: List[Tuple[str, Any]]) -> Iterable[Finding]:
-        merged: Dict[str, Dict[str, Any]] = {}
-        for path, payload in contributions:
-            for entry in payload["classes"]:
-                bucket = merged.setdefault(
-                    entry["class"],
-                    {"acquires": [], "releases": set(), "installs": [], "removes": set()},
-                )
-                bucket["acquires"].extend(
-                    (proto, key, path, line, col)
-                    for proto, key, line, col in entry["acquires"]
-                )
-                bucket["releases"].update(
-                    (proto, key) for proto, key in entry["releases"]
-                )
-                bucket["installs"].extend(
-                    (key, text, path, line, col)
-                    for key, text, line, col in entry["installs"]
-                )
-                bucket["removes"].update(key for (key,) in entry["removes"])
-        for cls in sorted(merged):
-            bucket = merged[cls]
-            proto_by_name = {p.name: p for p in PROTOCOLS}
-            for proto_name, key, path, line, col in bucket["acquires"]:
-                if (proto_name, key) in bucket["releases"]:
+                entry.releases.add((release.proto.name, _normalize(key)))
+            for kind, key, text, call in scan.commands:
+                if kind == "remove":
+                    entry.removes.add(key)
                     continue
-                proto = proto_by_name[proto_name]
-                yield Finding(
-                    rule=self.id,
-                    severity=self.severity,
-                    path=path,
-                    line=line,
-                    col=col,
-                    message=(
-                        f"{proto_name} stored into '{key}' has no matching "
-                        f"release ({_fmt(proto.release)}) anywhere in class {cls}"
-                    ),
+                finding = self.finding(
+                    module,
+                    call,
+                    f"'{text}' installs kernel state with no matching "
+                    f"removal command in class {cls.name}",
                 )
-            for key, text, path, line, col in bucket["installs"]:
-                if key in bucket["removes"]:
-                    continue
-                yield Finding(
-                    rule=self.id,
-                    severity=self.severity,
-                    path=path,
-                    line=line,
-                    col=col,
-                    message=(
-                        f"'{text}' installs kernel state with no matching "
-                        f"removal command in class {cls}"
-                    ),
-                )
+                entry.installs.append((key, finding))
+        return entry
+
+    def finish(
+        self, contributions: List[Tuple[str, List[_ClassSummary]]]
+    ) -> Iterable[Finding]:
+        by_class: Dict[str, List[_ClassSummary]] = {}
+        for _path, classes in contributions:
+            for entry in classes:
+                by_class.setdefault(entry.name, []).append(entry)
+        for cls in sorted(by_class):
+            entries = by_class[cls]
+            releases = set().union(*(entry.releases for entry in entries))
+            removes = set().union(*(entry.removes for entry in entries))
+            for entry in entries:
+                for pair, finding in entry.acquires:
+                    if pair not in releases:
+                        yield finding
+            for entry in entries:
+                for key, finding in entry.installs:
+                    if key not in removes:
+                        yield finding
 
 
 def _render_command(arg: ast.expr) -> Optional[str]:
@@ -655,6 +619,24 @@ def _token_after(tokens: List[str], word: str) -> Optional[str]:
     except ValueError:
         return None
     return tokens[index + 1] if index + 1 < len(tokens) else None
+
+
+def _match_command(call: ast.Call) -> Optional[Tuple[str, str, str]]:
+    """``(kind, pairing key, text)`` of an ``ip``/``iptables`` ``.run()``."""
+    if (
+        not isinstance(call.func, ast.Attribute)
+        or call.func.attr != "run"
+        or not call.args
+    ):
+        return None
+    receiver = expr_key(call.func.value)
+    if receiver is None or _last(receiver) not in _COMMAND_RECEIVERS:
+        return None
+    text = _render_command(call.args[0])
+    if text is None:
+        return None
+    parsed = _parse_command(_last(receiver), text)
+    return None if parsed is None else (*parsed, text)
 
 
 def _parse_command(receiver: str, text: str) -> Optional[Tuple[str, str]]:

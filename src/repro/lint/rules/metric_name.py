@@ -67,7 +67,7 @@ class MetricNameRule(Rule):
     )
 
     def check(self, module: LintModule) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

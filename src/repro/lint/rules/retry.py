@@ -64,7 +64,7 @@ class RetryPolicyRule(Rule):
     def check(self, module: LintModule) -> Iterable[Finding]:
         if module.repro_parts == _RETRY_HOME:
             return
-        for node, origin in _resolved_calls(module):
+        for node, origin in module.shared(_resolved_calls):
             if origin == "time.sleep":
                 yield self.finding(
                     module,
@@ -72,7 +72,7 @@ class RetryPolicyRule(Rule):
                     "time.sleep() waits on the wall clock; yield a delay to "
                     "the simulator, paced by a RetryPolicy",
                 )
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.For) or not _is_range_call(node.iter):
                 continue
             for name in _loop_targets(node.target):

@@ -1,36 +1,25 @@
-"""File discovery and the lint driver loop.
+"""File discovery and the lint pass: every file, every rule, in-process.
 
-Two drivers share one per-file worker and one merge:
-
-- :func:`lint_paths` — the sequential path: read → ``lint_file`` →
-  merge, all in-process.
-- :func:`lint_campaign` — the sharded path: each file becomes a
-  ``kind="lint"`` job for :func:`repro.parallel.run_campaign`, keyed
-  by its content digest so the result cache survives edits elsewhere
-  in the tree, then the *same* merge runs over the worker outputs.
-
-The merge is where determinism lives: per-file results are combined
-in sorted path order, project-phase rules (``Rule.finish``) see the
-same path-sorted contributions either way, and the final findings are
-sorted by :meth:`Finding.sort_key` — so ``-j 1`` and ``-j N`` reports
-are byte-identical by construction.
+:func:`lint_paths` reads each file in sorted path order, runs every
+selected rule's per-file ``check`` (pragma-filtered) and collects its
+``summarize`` contribution, then hands each rule its path-sorted
+contributions for the project phase (``Rule.finish``).  The final
+findings are sorted by :meth:`Finding.sort_key`, so a report is a pure
+function of the files and the selected rules.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.lint.core import (
     Finding,
     LintModule,
     PathLike,
-    Rule,
     Severity,
     select_rules,
 )
-from repro.lint.project import ProjectIndex
 
 #: Directories never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}
@@ -71,64 +60,6 @@ def _parse_error_finding(path: str, exc: SyntaxError) -> Finding:
     )
 
 
-def lint_file(path: PathLike, rules: Sequence[Rule]) -> Dict[str, Any]:
-    """Run per-file checks on one file; returns a JSON-able payload.
-
-    The payload is the unit that travels through campaign workers and
-    the result cache: pragma-filtered findings, each rule's project
-    contribution, and the file's pragma table (so project-phase
-    findings can be pragma-filtered at merge time).
-    """
-    try:
-        module = LintModule.from_path(path)
-    except SyntaxError as exc:
-        finding = _parse_error_finding(str(path), exc)
-        return {"findings": [finding.to_dict()], "contrib": {}, "allows": {}}
-    findings: List[Finding] = []
-    contrib: Dict[str, Any] = {}
-    for rule in rules:
-        for finding in rule.check(module):
-            if not module.allowed(finding.rule, finding.line):
-                findings.append(finding)
-        payload = rule.summarize(module)
-        if payload is not None:
-            contrib[rule.id] = payload
-    findings.sort(key=Finding.sort_key)
-    return {
-        "findings": [finding.to_dict() for finding in findings],
-        "contrib": contrib,
-        "allows": {str(line): sorted(ids) for line, ids in module.allows.items()},
-    }
-
-
-def _merge(
-    file_results: List[Tuple[str, Dict[str, Any]]], rules: Sequence[Rule]
-) -> List[Finding]:
-    """Combine per-file payloads and run the project phase.
-
-    ``file_results`` pairs each path *string* with its payload; sorting
-    happens here (on the string, not the Path — their orders differ)
-    so sequential and sharded runs merge identically.
-    """
-    index = ProjectIndex()
-    findings: List[Finding] = []
-    for path, payload in sorted(file_results, key=lambda pair: pair[0]):
-        findings.extend(Finding.from_dict(data) for data in payload["findings"])
-        allows = {
-            int(line): list(ids) for line, ids in payload.get("allows", {}).items()
-        }
-        index.add_file(path, payload.get("contrib", {}), allows)
-    for rule in rules:
-        contributions = index.contributions(rule.id)
-        if not contributions:
-            continue
-        for finding in rule.finish(contributions):
-            if not index.allowed(finding.path, finding.rule, finding.line):
-                findings.append(finding)
-    findings.sort(key=Finding.sort_key)
-    return findings
-
-
 def lint_paths(
     paths: Iterable[PathLike], rule_ids: Optional[Iterable[str]] = None
 ) -> List[Finding]:
@@ -139,49 +70,32 @@ def lint_paths(
     in the rest of the tree.
     """
     rules = select_rules(rule_ids)
-    file_results = [
-        (str(file_path), lint_file(file_path, rules))
-        for file_path in iter_python_files(paths)
-    ]
-    return _merge(file_results, rules)
-
-
-def lint_campaign(
-    paths: Iterable[PathLike],
-    rule_ids: Optional[Iterable[str]] = None,
-    workers: int = 1,
-    cache: Optional[Any] = None,
-) -> Tuple[List[Finding], Any]:
-    """Sharded lint run; returns ``(findings, CampaignResult)``.
-
-    Byte-identical to :func:`lint_paths` at any worker count: workers
-    only run the per-file phase, and the merge re-sorts their outputs
-    by path before the project phase.
-    """
-    from repro.parallel import run_campaign
-    from repro.parallel.entrypoints import lint_jobs
-
-    rules = select_rules(rule_ids)
-    rule_names = [rule.id for rule in rules]
-    files = list(iter_python_files(paths))
-    jobs = lint_jobs(files, rule_names)
-    result = run_campaign(jobs, workers=workers, cache=cache)
-    file_results = [
-        (output.stable["path"], output.stable["result"])
-        for output in result.results
-    ]
-    return _merge(file_results, rules), result
-
-
-@lru_cache(maxsize=1)
-def ruleset_digest() -> str:
-    """Content digest of the lint package itself.
-
-    Used as the cache's source digest: cached per-file results stay
-    valid across edits elsewhere in the tree (the per-file content
-    digest in each job key covers the file itself) but are invalidated
-    whenever any rule, the CFG builder, or this runner changes.
-    """
-    from repro.parallel.cache import tree_digest
-
-    return tree_digest(Path(__file__).parent)
+    findings: List[Finding] = []
+    contributions: Dict[str, List[Tuple[str, Any]]] = {}
+    allows: Dict[str, Dict[int, FrozenSet[str]]] = {}
+    # Sort on the path string, not the Path: their orders differ.
+    for path in sorted(str(file_path) for file_path in iter_python_files(paths)):
+        try:
+            module = LintModule.from_path(path)
+        except SyntaxError as exc:
+            findings.append(_parse_error_finding(path, exc))
+            continue
+        allows[path] = module.allows
+        for rule in rules:
+            findings.extend(
+                finding
+                for finding in rule.check(module)
+                if not module.allowed(finding.rule, finding.line)
+            )
+            payload = rule.summarize(module)
+            if payload is not None:
+                contributions.setdefault(rule.id, []).append((path, payload))
+    for rule in rules:
+        if rule.id in contributions:
+            findings.extend(
+                finding
+                for finding in rule.finish(contributions[rule.id])
+                if finding.rule not in allows[finding.path].get(finding.line, ())
+            )
+    findings.sort(key=Finding.sort_key)
+    return findings

@@ -1,9 +1,9 @@
 """Sharded campaign execution with a deterministic merge.
 
 Campaigns — the chaos suite, scenario-grammar points, seed sweeps,
-fleet groups, lint shards — are embarrassingly parallel: every job is
-an independent simulation fully described by its payload.  This
-package shards them across a process pool and merges the results in
+fleet groups — are embarrassingly parallel: every job is an
+independent simulation fully described by its payload.  This package
+shards them across a process pool and merges the results in
 stable job-key order, so the campaign digest is bit-identical for any
 ``-j``; a content-addressed cache (keyed by source tree, scenario,
 and seed) skips jobs whose inputs have not changed.  See
@@ -20,7 +20,6 @@ from repro.parallel.cache import (
 from repro.parallel.entrypoints import (
     chaos_jobs,
     fleet_jobs,
-    lint_jobs,
     scenario_jobs,
     sweep_jobs,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "entry_point",
     "execute_job",
     "fleet_jobs",
-    "lint_jobs",
     "resolve_entry_point",
     "run_campaign",
     "scenario_jobs",

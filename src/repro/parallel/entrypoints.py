@@ -1,4 +1,4 @@
-"""Built-in campaign workloads: chaos, scenarios, sweeps, fleet groups, lint.
+"""Built-in campaign workloads: chaos, scenarios, sweeps, fleet groups.
 
 Each entry point is a module-level function (spawn-safe by
 construction) that rebuilds *everything* from its payload — the
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
@@ -143,47 +142,6 @@ def run_fleet_job(payload: Dict[str, Any]) -> JobOutput:
     metrics = MetricsRegistry()
     report = run_group(spec, int(payload["group"]), metrics=metrics)
     return JobOutput(stable=report, metrics=metrics.snapshot())
-
-
-# -- lint -----------------------------------------------------------------
-
-
-def lint_jobs(files: Sequence[Any], rule_ids: Sequence[str]) -> List[Job]:
-    """One job per source file for the sharded lint runner.
-
-    The payload carries the file's own SHA-256 alongside its path, so
-    the cache key is content-addressed: editing a file invalidates
-    exactly that file's entry, while the rule-set digest the CLI bakes
-    into the cache's source digest invalidates everything when the
-    analyzer itself changes.
-    """
-    import hashlib
-
-    jobs = []
-    for file_path in files:
-        path = str(file_path)
-        digest = hashlib.sha256(Path(file_path).read_bytes()).hexdigest()
-        payload: Dict[str, Any] = {
-            "path": path,
-            "digest": digest,
-            "rules": list(rule_ids),
-        }
-        jobs.append(Job(kind="lint", key=f"lint:{path}", payload=payload))
-    return jobs
-
-
-@entry_point("lint")
-def run_lint_job(payload: Dict[str, Any]) -> JobOutput:
-    """Run the per-file lint phase on one file in this worker."""
-    from repro.lint.core import select_rules
-    from repro.lint.runner import lint_file
-
-    rules = select_rules(payload["rules"])
-    result = lint_file(payload["path"], rules)
-    return JobOutput(
-        stable={"path": payload["path"], "result": result},
-        metrics={},
-    )
 
 
 # -- sweep ----------------------------------------------------------------

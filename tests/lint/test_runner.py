@@ -7,6 +7,8 @@ import pytest
 from repro.lint import UnknownRuleError, iter_python_files, lint_paths
 from repro.lint.core import parse_pragmas, select_rules
 
+SRC = Path(__file__).parents[2] / "src" / "repro"
+
 
 class TestIterPythonFiles:
     def test_overlapping_directories_dedupe(self, tmp_path):
@@ -87,6 +89,47 @@ class TestParseErrors:
         )
         findings = lint_paths([tmp_path], rule_ids=["wall-clock"])
         assert sorted(f.rule for f in findings) == ["parse-error", "wall-clock"]
+
+
+class TestProjectPhase:
+    def test_mutated_real_modules_report_class_pairing_findings(self, tmp_path):
+        # Copy two real modules and break both: backend.py's catch-all
+        # narrows (a per-function CFG finding) and isolation.py loses the
+        # removal of a routing rule it installs (a project-phase one).
+        backend = tmp_path / "backend.py"
+        backend.write_text(
+            (SRC / "core" / "backend.py").read_text().replace(
+                "        except BaseException:\n", "        except ValueError:\n"
+            )
+        )
+        isolation = tmp_path / "isolation.py"
+        isolation.write_text(
+            (SRC / "core" / "isolation.py").read_text().replace(
+                '        self.stack.ip.run(f"rule del pref {PREF_SRC_RULE}")\n', ""
+            )
+        )
+        findings = lint_paths([tmp_path], rule_ids=["resource-lifecycle"])
+        assert {f.path for f in findings} == {str(backend), str(isolation)}
+        pairing = [f for f in findings if f.path == str(isolation)]
+        assert len(pairing) == 1
+        assert "pref {PREF_SRC_RULE}' installs kernel state" in pairing[0].message
+        assert "in class IsolationManager" in pairing[0].message
+        assert findings == sorted(findings, key=lambda f: f.sort_key())
+
+    def test_pragma_suppresses_a_project_phase_finding(self, tmp_path):
+        source = (SRC / "core" / "isolation.py").read_text().replace(
+            '        self.stack.ip.run(f"rule del pref {PREF_SRC_RULE}")\n', ""
+        )
+        target = tmp_path / "isolation.py"
+        target.write_text(source)
+        (finding,) = lint_paths([target], rule_ids=["resource-lifecycle"])
+        lines = source.splitlines(keepends=True)
+        lines[finding.line - 1] = (
+            lines[finding.line - 1].rstrip("\n")
+            + "  # lint: allow(resource-lifecycle)\n"
+        )
+        target.write_text("".join(lines))
+        assert lint_paths([target], rule_ids=["resource-lifecycle"]) == []
 
 
 class TestRuleSelection:

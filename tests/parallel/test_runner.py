@@ -13,7 +13,6 @@ from repro.parallel import (
     chaos_jobs,
     default_start_method,
     execute_job,
-    lint_jobs,
     resolve_entry_point,
     run_campaign,
     sweep_jobs,
@@ -155,11 +154,7 @@ class TestMetricsRegistryDefault:
         assert campaign.metrics.counter("engine.events_dispatched").value > 0
         assert campaign.metrics.counter("traffic.packets_sent").value > 0
 
-    def test_campaign_without_metrics_yields_empty_registry(self, tmp_path):
-        # Lint jobs ship no metrics snapshot.
-        target = tmp_path / "a.py"
-        target.write_text("A = 1\n")
-        jobs = lint_jobs([target], ["wall-clock"])
-        campaign = run_campaign(jobs, workers=1)
+    def test_campaign_without_metrics_yields_empty_registry(self):
+        campaign = run_campaign([], workers=1)
         assert isinstance(campaign.metrics, MetricsRegistry)
         assert len(campaign.metrics) == 0

@@ -263,35 +263,50 @@ def _leaky_tree(tmp_path):
     return tree
 
 
-def test_lint_sharded_report_is_byte_identical(tmp_path, capsys):
-    tree = _leaky_tree(tmp_path)
-    sequential = tmp_path / "j1.jsonl"
-    sharded = tmp_path / "j2.jsonl"
-    assert main(["lint", "-j", "1", "--no-cache",
-                 "--jsonl", str(sequential), str(tree)]) == 1
-    capsys.readouterr()
-    assert main(["lint", "-j", "2", "--no-cache",
-                 "--jsonl", str(sharded), str(tree)]) == 1
-    out = capsys.readouterr().out
-    assert sequential.read_bytes() == sharded.read_bytes()
-    assert "campaign: 2 file(s) across 2 worker(s)" in out
-
-
-def test_lint_cache_warms_across_runs(tmp_path, capsys):
-    tree = _leaky_tree(tmp_path)
-    cache_dir = tmp_path / "cache"
-    argv = ["lint", "--cache-dir", str(cache_dir), "--cache-stats", str(tree)]
-    assert main(argv) == 1
-    cold = capsys.readouterr().out
-    assert "misses=2" in cold and "stores=2" in cold
-    assert main(argv) == 1
-    warm = capsys.readouterr().out
-    assert "hits=2" in warm
-    assert "lint: 2 finding(s)" in warm
-
-
 def test_lint_overlapping_paths_count_once(tmp_path, capsys):
     tree = _leaky_tree(tmp_path)
-    assert main(["lint", "--no-cache", str(tree), str(tree / "hot.py")]) == 1
+    assert main(["lint", str(tree), str(tree / "hot.py")]) == 1
     out = capsys.readouterr().out
     assert "lint: 2 finding(s)" in out
+
+
+def test_lint_missing_path_is_an_error(tmp_path, capsys):
+    # A typo in a CI or pre-commit path used to lint nothing and pass.
+    missing = tmp_path / "no" / "such" / "dir"
+    assert main(["lint", str(tmp_path), str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert f"lint: no such file or directory: {missing}" in captured.err
+    assert "finding(s)" not in captured.out
+
+
+def test_lint_skips_existing_non_python_files(tmp_path, capsys):
+    notes = tmp_path / "notes.txt"
+    notes.write_text("time.time()\n")
+    assert main(["lint", str(notes)]) == 0
+    assert "lint: 0 finding(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", [["-j", "2"], ["--no-cache"], ["--cache-stats"],
+                                  ["--cache-dir", "cache"]])
+def test_lint_has_no_campaign_flags(flag, capsys):
+    # Lint is one in-process pass: no sharding, no result cache.
+    with pytest.raises(SystemExit) as exc:
+        main(["lint"] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["sweep", "-j", "-3"], ["report", "--campaign", "sweep", "-j", "-1"],
+     ["chaos", "--jobs", "-2"], ["fleet", "-j", "-1"]],
+)
+def test_negative_jobs_is_a_usage_error(command, capsys):
+    # A negative worker count used to reach run_campaign and die with a
+    # traceback and exit 1, the code chaos/fleet use for a failed run.
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "--jobs: must be >= 0" in err

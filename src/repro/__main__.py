@@ -18,8 +18,8 @@ The commands, in the order of the paper's narrative:
   must recover or degrade cleanly, never hang, and (``--check``)
   reproduce its recovery timeline bit-identically (see docs/FAULTS.md);
 - ``sweep`` — seed sweeps of the characterization experiments, sharded
-  across worker processes (``-j N``) with a deterministic merge and a
-  content-addressed result cache (see docs/PARALLEL.md);
+  across worker processes (``-j N``) with a deterministic merge (see
+  docs/PARALLEL.md);
 - ``report`` — campaign-scale telemetry: span timelines with the
   bring-up critical path, deterministic sim-time profiles, and
   OpenMetrics export of a single run's or a whole campaign's metrics
@@ -30,9 +30,11 @@ The commands, in the order of the paper's narrative:
   experiment across every node-pair, and fairness/starvation metrics
   (see docs/FLEET.md).
 
-``chaos``, ``sweep``, ``report`` and ``fleet`` all run through the
-campaign runner (:mod:`repro.parallel`): ``-j N`` shards jobs across
-processes without changing a byte of the merged output.
+``chaos``, ``sweep``, ``report --campaign`` and ``fleet`` share one
+campaign path (``_run_campaign``): the campaign runner
+(:mod:`repro.parallel`) shards jobs across ``-j N`` processes without
+changing a byte of the merged output, ``--check`` re-runs every job
+and compares digests, and the exports follow one rule.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro import (
     OneLabScenario,
@@ -162,21 +166,6 @@ def _cmd_saturation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_cache(args: argparse.Namespace):
-    """The :class:`ResultCache` the campaign flags describe (or None)."""
-    if args.no_cache:
-        return None
-    from repro.parallel import ResultCache
-
-    return ResultCache(root=args.cache_dir)
-
-
-def _report_cache(args: argparse.Namespace, cache) -> None:
-    if not args.cache_stats:
-        return
-    print("cache: disabled" if cache is None else cache.stats.summary())
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -215,11 +204,81 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from pathlib import Path
+class _CampaignView(NamedTuple):
+    """The parts of a campaign's output that belong to one command.
 
+    ``rows`` print before the exports and ``summary`` after them;
+    ``records`` are the ``--jsonl`` lines and ``noun`` what their
+    confirmation counts (None: state the byte size instead); ``ok`` is
+    the exit status.
+    """
+
+    rows: List[str]
+    records: List[Dict[str, Any]]
+    noun: Optional[str]
+    summary: List[str]
+    ok: bool = True
+
+
+def _run_campaign(
+    args: argparse.Namespace,
+    jobs: list,
+    view: Callable[[Any, List[Dict[str, Any]]], _CampaignView],
+    footer: bool = True,
+    wall: bool = True,
+) -> int:
+    """The one campaign path: run, fresh ``--check``, exports, footer.
+
+    ``view(campaign, reports)`` builds the command's own rows, JSONL
+    records and summary from the merged campaign and the jobs' stable
+    reports in submission order.  Under ``--check`` the whole campaign
+    runs a second time and every report gains ``deterministic``: whether
+    the re-run reproduced its digest.  An export to ``-`` owns stdout,
+    so no human line is printed then.  Returns the exit code.
+    """
+    from repro.obs import render_openmetrics
+    from repro.parallel import run_campaign
+
+    campaign = run_campaign(jobs, workers=args.jobs)
+    by_key = campaign.by_key()
+    reports = [by_key[job.key].stable for job in jobs]
+    if getattr(args, "check", False):
+        recheck = run_campaign(jobs, workers=args.jobs).by_key()
+        for job, report in zip(jobs, reports):
+            report["deterministic"] = (
+                recheck[job.key].stable["digest"] == report["digest"]
+            )
+    shown = view(campaign, reports)
+    openmetrics = getattr(args, "openmetrics", None)
+    quiet = "-" in (args.jsonl, openmetrics)
+    if not quiet:
+        for line in shown.rows:
+            print(line)
+    if args.jsonl is not None:
+        lines = [json.dumps(record, sort_keys=True) for record in shown.records]
+        label = f"{len(lines)} {shown.noun}" if shown.noun else "report records"
+        _emit_text(args.jsonl, "\n".join(lines) + "\n", label, quiet,
+                   size=shown.noun is None)
+    if openmetrics is not None:
+        include_volatile = getattr(args, "include_volatile", False)
+        _emit_text(
+            openmetrics,
+            render_openmetrics(campaign.metrics, include_volatile=include_volatile),
+            "OpenMetrics exposition",
+            quiet,
+        )
+    if not quiet:
+        for line in shown.summary:
+            print(line)
+        if footer:
+            print(f"campaign: digest={campaign.digest[:16]} workers={campaign.workers}"
+                  + (f" wall={campaign.wall_s:.2f}s" if wall else ""))
+    return 0 if shown.ok else 1
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import BUILTIN_SCENARIOS
-    from repro.parallel import chaos_jobs, run_campaign, scenario_jobs
+    from repro.parallel import chaos_jobs, scenario_jobs
 
     if args.list:
         if args.scenario_grammar:
@@ -232,7 +291,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             print(f"{scenario.name:<24} expect {scenario.expected:<10} "
                   f"{scenario.description}")
         return 0
-    cache = _make_cache(args)
     try:
         if args.scenario_grammar:
             from repro.scenarios import ScenarioSpecError
@@ -247,50 +305,35 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"chaos: {exc.args[0]}", file=sys.stderr)
         return 2
-    campaign = run_campaign(jobs, workers=args.jobs, cache=cache)
-    by_key = campaign.by_key()
-    reports = [by_key[job.key].stable for job in jobs]
-    if args.check:
-        # The determinism proof re-runs the whole campaign *fresh* —
-        # never against the cache — so a hit must match what the
-        # current code actually produces.
-        recheck = run_campaign(jobs, workers=args.jobs, cache=None).by_key()
-        for job, report in zip(jobs, reports):
-            report["deterministic"] = (
-                recheck[job.key].stable["digest"] == report["digest"]
-            )
-            if not report["deterministic"]:
+
+    def view(campaign, reports):
+        rows = []
+        for report in reports:
+            if args.scenario_grammar:
+                detail = report["outcome"]
+                rest = (f"ho={report['handovers']} reneg={report['renegotiations']} "
+                        f"t={report['sim_time']:.1f}s")
+            else:
+                detail = f"{report['outcome']} (expected {report['expected']})"
+                rest = (f"faults={report['faults_injected']} retries={report['retries']} "
+                        f"t={report['sim_time']:.1f}s")
+            if not report.get("deterministic", True):
                 report["ok"] = False
-    for report in reports:
-        verdict = "ok  " if report["ok"] else "FAIL"
-        if args.scenario_grammar:
-            detail = report["outcome"]
-            if args.check and not report.get("deterministic", True):
                 detail += " NON-DETERMINISTIC"
-            print(f"{verdict} {report['scenario']:<28} {detail:<12} "
-                  f"ho={report['handovers']} reneg={report['renegotiations']} "
-                  f"t={report['sim_time']:.1f}s")
-            continue
-        detail = f"{report['outcome']} (expected {report['expected']})"
-        if args.check and not report.get("deterministic", True):
-            detail += " NON-DETERMINISTIC"
-        print(f"{verdict} {report['scenario']:<24} {detail:<36} "
-              f"faults={report['faults_injected']} retries={report['retries']} "
-              f"t={report['sim_time']:.1f}s")
-    if args.jsonl is not None:
-        lines = [json.dumps(report, sort_keys=True) for report in reports]
-        Path(args.jsonl).write_text("\n".join(lines) + "\n")
-        print(f"wrote {len(lines)} report(s) to {args.jsonl}")
-    counts = {}
-    for report in reports:
-        counts[report["outcome"]] = counts.get(report["outcome"], 0) + 1
-    summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    ok = sum(1 for report in reports if report["ok"])
-    print(f"chaos: {ok}/{len(reports)} scenarios as expected ({summary})")
-    print(f"campaign: digest={campaign.digest[:16]} workers={campaign.workers} "
-          f"cached={campaign.cached_count()}/{len(reports)}")
-    _report_cache(args, cache)
-    return 1 if ok < len(reports) else 0
+            verdict = "ok  " if report["ok"] else "FAIL"
+            name_width, detail_width = (28, 12) if args.scenario_grammar else (24, 36)
+            rows.append(f"{verdict} {report['scenario']:<{name_width}} "
+                        f"{detail:<{detail_width}} {rest}")
+        counts = Counter(report["outcome"] for report in reports)
+        summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+        ok = sum(1 for report in reports if report["ok"])
+        return _CampaignView(
+            rows, reports, "report(s)",
+            [f"chaos: {ok}/{len(reports)} scenarios as expected ({summary})"],
+            ok=ok == len(reports),
+        )
+
+    return _run_campaign(args, jobs, view, wall=False)
 
 
 def _duration(text: str) -> float:
@@ -321,9 +364,7 @@ def _parse_seed_spec(spec: str) -> list:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.parallel import run_campaign, sweep_jobs
+    from repro.parallel import sweep_jobs
 
     try:
         seeds = _parse_seed_spec(args.seeds)
@@ -331,7 +372,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
     paths = [PATH_UMTS, PATH_ETHERNET] if args.path == "both" else [args.path]
-    cache = _make_cache(args)
     try:
         jobs = sweep_jobs(
             args.kind, seeds=seeds, paths=paths, duration=args.duration,
@@ -340,35 +380,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"sweep: {exc.args[0]}", file=sys.stderr)
         return 2
-    campaign = run_campaign(jobs, workers=args.jobs, cache=cache)
-    print(f"{args.kind} sweep: {len(seeds)} seed(s) x {len(paths)} path(s), "
-          f"{args.duration:.0f}s each")
-    for result in campaign.results:
-        s = result.stable["summary"]
-        print(f"{result.stable['path']:<9} seed={result.stable['seed']:<6} "
-              f"bitrate {s['bitrate_kbps']:8.1f} kbit/s   "
-              f"loss {s['loss_fraction'] * 100:5.1f}%   "
-              f"jitter {s['mean_jitter_s'] * 1000:7.2f} ms   "
-              f"RTT {s['mean_rtt_s'] * 1000:7.1f} ms   "
-              f"digest {result.stable['digest'][:12]}")
-    if args.jsonl is not None:
-        lines = [json.dumps(result.stable, sort_keys=True)
-                 for result in campaign.results]
-        Path(args.jsonl).write_text("\n".join(lines) + "\n")
-        print(f"wrote {len(lines)} run(s) to {args.jsonl}")
-    print(f"campaign: digest={campaign.digest[:16]} workers={campaign.workers} "
-          f"cached={campaign.cached_count()}/{len(jobs)} "
-          f"wall={campaign.wall_s:.2f}s")
-    _report_cache(args, cache)
-    return 0
+
+    def view(campaign, reports):
+        records = [result.stable for result in campaign.results]
+        rows = [f"{args.kind} sweep: {len(seeds)} seed(s) x {len(paths)} path(s), "
+                f"{args.duration:.0f}s each"]
+        for record in records:
+            s = record["summary"]
+            rows.append(f"{record['path']:<9} seed={record['seed']:<6} "
+                        f"bitrate {s['bitrate_kbps']:8.1f} kbit/s   "
+                        f"loss {s['loss_fraction'] * 100:5.1f}%   "
+                        f"jitter {s['mean_jitter_s'] * 1000:7.2f} ms   "
+                        f"RTT {s['mean_rtt_s'] * 1000:7.1f} ms   "
+                        f"digest {record['digest'][:12]}")
+        return _CampaignView(rows, records, "run(s)", [])
+
+    return _run_campaign(args, jobs, view)
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.fleet import FleetSpec, FleetSpecError
-    from repro.obs import render_openmetrics
-    from repro.parallel import fleet_jobs, run_campaign
+    from repro.parallel import fleet_jobs
 
     try:
         spec = FleetSpec(
@@ -385,76 +417,56 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     except FleetSpecError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
         return 2
-    cache = _make_cache(args)
     jobs = fleet_jobs(spec)
-    campaign = run_campaign(jobs, workers=args.jobs, cache=cache)
-    by_key = campaign.by_key()
-    reports = [by_key[job.key].stable for job in jobs]
-    if args.check:
-        # Determinism proof, as for chaos: re-run the whole campaign
-        # fresh (never against the cache) and require per-group digest
-        # equality with the first pass.
-        recheck = run_campaign(jobs, workers=args.jobs, cache=None).by_key()
-        for job, report in zip(jobs, reports):
-            report["deterministic"] = (
-                recheck[job.key].stable["digest"] == report["digest"]
-            )
-    failures = 0
-    outcomes: dict = {}
-    for report in reports:
-        ok = (
-            report["clean"]
-            and report["finished"]
-            and report.get("deterministic", True)
+
+    def view(campaign, reports):
+        rows = []
+        failures = 0
+        for report in reports:
+            notes = [note for note, failed in (
+                ("DIRTY", not report["clean"]),
+                ("HUNG", not report["finished"]),
+                ("NON-DETERMINISTIC", not report.get("deterministic", True)),
+            ) if failed]
+            verdict = "FAIL" if notes else "ok  "
+            failures += bool(notes)
+            if report["dead_nodes"]:
+                notes.append(f"dead={len(report['dead_nodes'])}")
+            rows.append(f"{verdict} g{report['group']:04d} nodes={report['nodes']} "
+                        f"experiments={len(report['experiments'])} "
+                        f"jain={report['fairness']['jain_hold_s']:.3f} "
+                        f"digest={report['digest'][:12]} {' '.join(notes)}".rstrip())
+        outcomes = Counter(
+            experiment["outcome"] for report in reports
+            for experiment in report["experiments"]
         )
-        if not ok:
-            failures += 1
-        for experiment in report["experiments"]:
-            outcomes[experiment["outcome"]] = (
-                outcomes.get(experiment["outcome"], 0) + 1
-            )
-        verdict = "ok  " if ok else "FAIL"
-        notes = []
-        if not report["clean"]:
-            notes.append("DIRTY")
-        if not report["finished"]:
-            notes.append("HUNG")
-        if not report.get("deterministic", True):
-            notes.append("NON-DETERMINISTIC")
-        if report["dead_nodes"]:
-            notes.append(f"dead={len(report['dead_nodes'])}")
-        print(f"{verdict} g{report['group']:04d} nodes={report['nodes']} "
-              f"experiments={len(report['experiments'])} "
-              f"jain={report['fairness']['jain_hold_s']:.3f} "
-              f"digest={report['digest'][:12]} {' '.join(notes)}".rstrip())
-    if args.jsonl is not None:
-        lines = [json.dumps(report, sort_keys=True) for report in reports]
-        Path(args.jsonl).write_text("\n".join(lines) + "\n")
-        print(f"wrote {len(lines)} group report(s) to {args.jsonl}")
-    if args.openmetrics is not None:
-        _emit_text(
-            args.openmetrics,
-            render_openmetrics(campaign.metrics),
-            "OpenMetrics exposition",
+        summary = " ".join(f"{k}={v}" for k, v in sorted(outcomes.items()))
+        return _CampaignView(
+            rows, reports, "group report(s)",
+            [f"fleet: {spec.nodes} node(s) in {len(jobs)} group(s): {summary}"],
+            ok=not failures,
         )
-    summary = " ".join(f"{k}={v}" for k, v in sorted(outcomes.items()))
-    print(f"fleet: {spec.nodes} node(s) in {len(jobs)} group(s): {summary}")
-    print(f"campaign: digest={campaign.digest[:16]} workers={campaign.workers} "
-          f"cached={campaign.cached_count()}/{len(jobs)} "
-          f"wall={campaign.wall_s:.2f}s")
-    _report_cache(args, cache)
-    return 1 if failures else 0
+
+    return _run_campaign(args, jobs, view)
 
 
-def _emit_text(target: str, text: str, label: str) -> None:
-    """Write ``text`` to a path, or to stdout when ``target`` is ``-``."""
+def _emit_text(
+    target: str, text: str, label: str, quiet: bool = False, size: bool = True
+) -> None:
+    """Write ``text`` to a path, or to stdout when ``target`` is ``-``.
+
+    A file write is confirmed on stdout, with its byte ``size``, unless
+    ``quiet``.
+    """
     from pathlib import Path
 
     if target == "-":
         sys.stdout.write(text)
-    else:
-        Path(target).write_text(text)
-        print(f"wrote {label} to {target} ({len(text.encode())} bytes)")
+        return
+    Path(target).write_text(text)
+    if not quiet:
+        print(f"wrote {label} to {target}"
+              + (f" ({len(text.encode())} bytes)" if size else ""))
 
 
 def _filtered_snapshot(registry, include_volatile: bool):
@@ -481,6 +493,7 @@ def _report_run(args: argparse.Namespace) -> int:
         umts.status_blocking()
         umts.stop_blocking()
     timeline = obs.timeline(events)
+    quiet = "-" in (args.jsonl, args.openmetrics)
     if args.jsonl is not None:
         records = timeline.records()
         records.append({"record": "profile", **profiler.snapshot()})
@@ -489,14 +502,15 @@ def _report_run(args: argparse.Namespace) -> int:
             "metrics": _filtered_snapshot(obs.metrics, args.include_volatile),
         })
         lines = [json.dumps(record, sort_keys=True) for record in records]
-        _emit_text(args.jsonl, "\n".join(lines) + "\n", "report records")
+        _emit_text(args.jsonl, "\n".join(lines) + "\n", "report records", quiet)
     if args.openmetrics is not None:
         _emit_text(
             args.openmetrics,
             obs.openmetrics(include_volatile=args.include_volatile),
             "OpenMetrics exposition",
+            quiet,
         )
-    if args.openmetrics == "-" or args.jsonl == "-":
+    if quiet:
         return 0 if result.ok else 1
     print(f"run report: seed={args.seed}, {timeline.events_seen} events, "
           f"{scenario.sim.now:.1f} simulated seconds")
@@ -517,10 +531,8 @@ def _report_run(args: argparse.Namespace) -> int:
 
 def _report_campaign(args: argparse.Namespace) -> int:
     """A whole campaign's folded registry, rendered and exported."""
-    from repro.obs import render_openmetrics
-    from repro.parallel import chaos_jobs, run_campaign, sweep_jobs
+    from repro.parallel import chaos_jobs, sweep_jobs
 
-    cache = _make_cache(args)
     if args.campaign == "chaos":
         jobs = chaos_jobs()
     else:
@@ -532,8 +544,8 @@ def _report_campaign(args: argparse.Namespace) -> int:
         jobs = sweep_jobs(
             args.kind, seeds=seeds, paths=[PATH_UMTS], duration=args.duration
         )
-    campaign = run_campaign(jobs, workers=args.jobs, cache=cache)
-    if args.jsonl is not None:
+
+    def view(campaign, reports):
         records = [
             {"record": "job", "key": r.key, "kind": r.kind, "stable": r.stable}
             for r in campaign.results
@@ -542,24 +554,13 @@ def _report_campaign(args: argparse.Namespace) -> int:
             "record": "metrics",
             "metrics": _filtered_snapshot(campaign.metrics, args.include_volatile),
         })
-        lines = [json.dumps(record, sort_keys=True) for record in records]
-        _emit_text(args.jsonl, "\n".join(lines) + "\n", "report records")
-    if args.openmetrics is not None:
-        _emit_text(
-            args.openmetrics,
-            render_openmetrics(
-                campaign.metrics, include_volatile=args.include_volatile
-            ),
-            "OpenMetrics exposition",
-        )
-    if args.openmetrics != "-" and args.jsonl != "-":
-        print(f"{args.campaign} campaign: {len(jobs)} job(s), "
-              f"digest={campaign.digest[:16]}, workers={campaign.workers}")
-        print("metrics:")
-        for line in campaign.metrics.summary_lines():
-            print("  " + line)
-    _report_cache(args, cache)
-    return 0
+        summary = [f"{args.campaign} campaign: {len(jobs)} job(s), "
+                   f"digest={campaign.digest[:16]}, workers={campaign.workers}",
+                   "metrics:"]
+        summary += ["  " + line for line in campaign.metrics.summary_lines()]
+        return _CampaignView([], records, None, summary)
+
+    return _run_campaign(args, jobs, view, footer=False)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -639,7 +640,7 @@ def main(argv=None) -> int:
     )
     chaos_parser.add_argument(
         "--jsonl", default=None, metavar="PATH",
-        help="write per-scenario reports as JSON lines to PATH",
+        help="write per-scenario reports as JSON lines to PATH (-: stdout)",
     )
     _add_campaign_args(chaos_parser)
     sweep_parser = sub.add_parser(
@@ -665,7 +666,7 @@ def main(argv=None) -> int:
     )
     sweep_parser.add_argument(
         "--jsonl", default=None, metavar="PATH",
-        help="write per-run records as JSON lines to PATH",
+        help="write per-run records as JSON lines to PATH (-: stdout)",
     )
     _add_campaign_args(sweep_parser)
     report_parser = sub.add_parser(
@@ -745,7 +746,7 @@ def main(argv=None) -> int:
     )
     fleet_parser.add_argument(
         "--jsonl", default=None, metavar="PATH",
-        help="write per-group reports as JSON lines to PATH",
+        help="write per-group reports as JSON lines to PATH (-: stdout)",
     )
     fleet_parser.add_argument(
         "--openmetrics", nargs="?", const="-", default=None, metavar="PATH",
@@ -769,22 +770,10 @@ def main(argv=None) -> int:
 
 
 def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
-    """The shared campaign flags: sharding and result caching."""
+    """The shared campaign flag: sharding."""
     parser.add_argument(
         "-j", "--jobs", type=_jobs, default=1, metavar="N",
         help="worker processes (1: in-process; 0: one per CPU)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the content-addressed result cache entirely",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--cache-stats", action="store_true",
-        help="print hit/miss/store counts after the run",
     )
 
 

@@ -16,13 +16,11 @@ from repro.analysis.compare import PathComparison, compare_paths
 from repro.analysis.export import export_experiment, read_csv_series, series_to_csv
 from repro.analysis.figures import render_series_table, sparkline
 from repro.analysis.stats import (
-    SUMMARY_QUANTILES,
     confidence_interval_95,
     mean,
     median,
     percentile,
     stdev,
-    stream_summary,
 )
 
 __all__ = [
@@ -41,6 +39,4 @@ __all__ = [
     "series_to_csv",
     "sparkline",
     "stdev",
-    "stream_summary",
-    "SUMMARY_QUANTILES",
 ]

@@ -3,26 +3,12 @@
 NaN values (empty-window placeholders from
 :meth:`~repro.sim.monitor.TimeSeries.window_average`) are skipped
 everywhere, so series can be fed in directly.
-
-:func:`stream_summary` exposes the constant-memory path — running
-moments plus P² quantile estimates from
-:mod:`repro.obs.streaming` — for campaign-scale inputs that never
-materialize a list.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-from repro.obs.streaming import QuantileSketch
-
-#: Quantiles :func:`stream_summary` estimates by default.
-SUMMARY_QUANTILES = (0.5, 0.9, 0.99)
-
-#: Samples per bulk-ingest batch in :func:`stream_summary`.
-_SUMMARY_CHUNK = 4096
+from typing import List, Sequence, Tuple
 
 
 def _finite(values: Sequence[float]) -> List[float]:
@@ -35,34 +21,6 @@ def mean(values: Sequence[float]) -> float:
     if not finite:
         return math.nan
     return sum(finite) / len(finite)
-
-
-def stream_summary(
-    values: Iterable[float],
-    quantiles: Sequence[float] = SUMMARY_QUANTILES,
-) -> Dict[str, float]:
-    """Constant-memory summary of an arbitrarily long value stream.
-
-    Consumes any iterable once and returns count/sum/mean/stdev/
-    extremes plus P² estimates for ``quantiles`` (keys like ``p50``).
-    Infinite values are skipped like everywhere else in this module;
-    the sketch handles NaN itself.  Samples are drained into
-    fixed-size ``array('d')`` chunks and bulk-ingested, keeping the
-    constant-memory guarantee while the moment accumulation runs at
-    the batch rate.
-    """
-    sketch = QuantileSketch(quantiles=quantiles)
-    chunk = array("d")
-    for value in values:
-        if math.isinf(value):
-            continue
-        chunk.append(value)
-        if len(chunk) >= _SUMMARY_CHUNK:
-            sketch.observe_many(chunk)
-            del chunk[:]
-    if chunk:
-        sketch.observe_many(chunk)
-    return sketch.as_dict()
 
 
 def stdev(values: Sequence[float]) -> float:

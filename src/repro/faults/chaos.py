@@ -302,37 +302,3 @@ def run_scenario(
         "digest": trace_digest(collector.events),
     }
 
-
-def run_campaign(
-    names: Optional[Sequence[str]] = None,
-    check: bool = False,
-) -> Tuple[int, List[Dict[str, Any]]]:
-    """Run (a subset of) the campaign.  Returns (exit code, reports).
-
-    Exit 0 when every scenario matched its expectation (and, with
-    ``check``, reproduced its digest on a second run); 1 otherwise;
-    2 for unknown scenario names.
-    """
-    selected = list(BUILTIN_SCENARIOS)
-    if names:
-        known = {scenario.name: scenario for scenario in BUILTIN_SCENARIOS}
-        missing = [name for name in names if name not in known]
-        if missing:
-            raise KeyError(
-                f"unknown scenario(s): {', '.join(missing)} "
-                f"(known: {', '.join(known)})"
-            )
-        selected = [known[name] for name in names]
-    reports: List[Dict[str, Any]] = []
-    failures = 0
-    for scenario in selected:
-        report = run_scenario(scenario)
-        if check:
-            rerun = run_scenario(scenario)
-            report["deterministic"] = rerun["digest"] == report["digest"]
-            if not report["deterministic"]:
-                report["ok"] = False
-        if not report["ok"]:
-            failures += 1
-        reports.append(report)
-    return (1 if failures else 0), reports

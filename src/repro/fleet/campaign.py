@@ -16,8 +16,8 @@ than raced on bare signals, so a revoke that lands while the driver is
 blocked inside ``umts start`` is never dropped.
 
 The group report is pure data with a SHA-256 digest over its canonical
-JSON — the unit the :mod:`repro.parallel` campaign runner shards,
-caches, and merges byte-identically at any ``-j``.
+JSON — the unit the :mod:`repro.parallel` campaign runner shards and
+merges byte-identically at any ``-j``.
 """
 
 from __future__ import annotations

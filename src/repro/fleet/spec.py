@@ -5,7 +5,7 @@ count, sharding group size, the slices competing for each node's UMTS
 interface (with priorities), the paper's workload to run on every
 node-pair, and an optional fault plan — and is a pure-data value:
 :meth:`FleetSpec.to_payload` / :meth:`FleetSpec.from_payload` round-trip
-it through JSON so campaign jobs stay spawn-safe and cacheable (the
+it through JSON so campaign jobs stay spawn-safe (the
 :mod:`repro.parallel` contract).
 
 Sharding model: the fleet is partitioned into deterministic *groups* of

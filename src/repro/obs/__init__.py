@@ -14,8 +14,8 @@ Recording, threaded through every subsystem of the reproduction:
 
 Analysis and export, on top of the recordings:
 
-- :mod:`repro.obs.streaming` — constant-memory online aggregators
-  (windowed QoS stats, P² quantile sketches) fed sample-by-sample;
+- :mod:`repro.obs.streaming` — constant-memory online aggregation of
+  the windowed QoS stats, fed sample-by-sample;
 - :mod:`repro.obs.exporter` — deterministic OpenMetrics text
   exposition of any registry snapshot;
 - :mod:`repro.obs.timeline` — phase trees and critical-path analysis
@@ -57,7 +57,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import SimProfiler
 from repro.obs.sinks import DEFAULT_FLIGHT_CAPACITY, FlightRecorder, JsonlSink, ListSink
-from repro.obs.streaming import P2Quantile, QuantileSketch, StreamingStats, StreamingWindows
+from repro.obs.streaming import StreamingWindows
 from repro.obs.timeline import Timeline
 from repro.obs.trace import (
     KIND_ERROR,
@@ -150,11 +150,8 @@ __all__ = [
     "NULL_SPAN",
     "NullSpan",
     "Observability",
-    "P2Quantile",
-    "QuantileSketch",
     "SimProfiler",
     "Span",
-    "StreamingStats",
     "StreamingWindows",
     "Timeline",
     "TraceBus",

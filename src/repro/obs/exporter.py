@@ -121,8 +121,8 @@ def render_openmetrics(
     """The full text exposition (terminated by ``# EOF``).
 
     ``source`` is a registry or a :meth:`MetricsRegistry.snapshot`
-    dict — the latter is what campaign runners and cache documents
-    carry, so exports can happen far from any live simulator.
+    dict — the latter is what campaign workers ship back to the
+    runner, so exports can happen far from any live simulator.
     """
     snapshot: Snapshot = (
         source.snapshot() if isinstance(source, MetricsRegistry) else source

@@ -122,9 +122,8 @@ class Gauge:
         self.updates += updates
         self.value = float(state["value"])  # type: ignore[arg-type]
         # A worker that recorded no samples snapshots its extremes as
-        # None; guard them individually so a half-formed snapshot (or
-        # one round-tripped through a cache document) can never clobber
-        # real extremes with a TypeError mid-fold.
+        # None; guard them individually so a half-formed snapshot can
+        # never clobber real extremes with a TypeError mid-fold.
         incoming_max = state["max"]
         incoming_min = state["min"]
         if incoming_max is not None and float(incoming_max) > self.max_value:  # type: ignore[arg-type]

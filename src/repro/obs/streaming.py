@@ -3,35 +3,28 @@
 The analysis layer historically buffered a whole run's samples (one
 ``List[List[float]]`` bucket table per windowed series) before
 aggregating.  That is fine for one 120 s characterization and hopeless
-for fleet-scale campaigns holding millions of samples.  Everything in
-this module consumes samples **one at a time, in time order**, and
-keeps only O(1) state per open aggregate:
-
-- :class:`StreamingWindows` — the paper's non-overlapping 200 ms QoS
-  windows (mean/sum/count/max/min), computed online.  Fed the same
-  samples in the same order, it reproduces
-  :meth:`~repro.sim.monitor.TimeSeries.window_average` and friends
-  bit-for-bit (same left-to-right float accumulation), which is what
-  lets the decoder swap it in without moving a golden digest.
-- :class:`StreamingStats` — running count/sum/min/max plus Welford
-  variance for whole-run summaries without a sample list.
-- :class:`P2Quantile` / :class:`QuantileSketch` — the P² algorithm
-  (Jain & Chlamtac 1985): a five-marker streaming quantile estimate,
-  deterministic for a given sample sequence, no sample retention.
+for fleet-scale campaigns holding millions of samples.
+:class:`StreamingWindows` consumes samples **one at a time, in time
+order**, and keeps only O(1) state per open window: the paper's
+non-overlapping 200 ms QoS windows (mean/sum/count/max/min), computed
+online.  Fed the same samples in the same order, it reproduces
+:meth:`~repro.sim.monitor.TimeSeries.window_average` and friends
+bit-for-bit (same left-to-right float accumulation), which is what
+lets the decoder swap it in without moving a golden digest.
 
 Nothing here imports the simulator; the engine (or a decoder walking
-recorded logs) just calls ``add``/``observe``.  For column-shaped
-inputs — parallel lists or ``array('d')`` sample columns — the
-``add_many``/``observe_many`` bulk paths fold a whole batch per call
-with the accumulator state held in locals; they are bit-identical to
-the one-at-a-time calls (same left-to-right float accumulation), just
-several times cheaper at fleet volume.
+recorded logs) just calls ``add``.  For column-shaped inputs —
+parallel lists or ``array('d')`` sample columns — the ``add_many``
+bulk path folds a whole batch per call with the accumulator state held
+in locals; it is bit-identical to the one-at-a-time calls (same
+left-to-right float accumulation), just several times cheaper at fleet
+volume.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 #: The paper's reporting granularity (§3.1): 200 ms windows.
 QOS_WINDOW = 0.2
@@ -233,272 +226,3 @@ class StreamingWindows:
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-class StreamingStats:
-    """Running summary statistics: count, sum, extremes, Welford variance.
-
-    ``mean`` is ``sum / count`` (left-to-right accumulation), so a
-    StreamingStats fed a list reproduces ``sum(xs) / len(xs)`` exactly.
-    NaN samples are skipped, mirroring :mod:`repro.analysis.stats`.
-    """
-
-    __slots__ = ("count", "total", "min_value", "max_value", "_welford_mean", "_m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min_value = math.inf
-        self.max_value = -math.inf
-        self._welford_mean = 0.0
-        self._m2 = 0.0
-
-    def observe(self, value: float) -> None:
-        """Fold one sample in (NaN is skipped)."""
-        if value != value:
-            return
-        self.count += 1
-        self.total += value
-        if value < self.min_value:
-            self.min_value = value
-        if value > self.max_value:
-            self.max_value = value
-        delta = value - self._welford_mean
-        self._welford_mean += delta / self.count
-        self._m2 += delta * (value - self._welford_mean)
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        """Fold a batch in, bit-identical to repeated :meth:`observe`.
-
-        Accepts any sequence — a list or an ``array('d')`` column — and
-        runs the Welford update with all state in locals, one attribute
-        load per batch.  Accumulation order and arithmetic are exactly
-        :meth:`observe`'s, so summaries are byte-stable either way.
-        """
-        count = self.count
-        total = self.total
-        vmin = self.min_value
-        vmax = self.max_value
-        wmean = self._welford_mean
-        m2 = self._m2
-        for value in values:
-            if value != value:
-                continue
-            count += 1
-            total += value
-            if value < vmin:
-                vmin = value
-            if value > vmax:
-                vmax = value
-            delta = value - wmean
-            wmean += delta / count
-            m2 += delta * (value - wmean)
-        self.count = count
-        self.total = total
-        self.min_value = vmin
-        self.max_value = vmax
-        self._welford_mean = wmean
-        self._m2 = m2
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean (NaN when empty)."""
-        if self.count == 0:
-            return math.nan
-        return self.total / self.count
-
-    @property
-    def stdev(self) -> float:
-        """Population standard deviation (NaN when empty)."""
-        if self.count == 0:
-            return math.nan
-        return math.sqrt(self._m2 / self.count)
-
-    @property
-    def minimum(self) -> float:
-        """Smallest sample (NaN when empty)."""
-        return self.min_value if self.count else math.nan
-
-    @property
-    def maximum(self) -> float:
-        """Largest sample (NaN when empty)."""
-        return self.max_value if self.count else math.nan
-
-    def as_dict(self) -> Dict[str, float]:
-        """Exportable snapshot."""
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean,
-            "stdev": self.stdev,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
-
-class P2Quantile:
-    """The P² single-quantile estimator (Jain & Chlamtac, 1985).
-
-    Five markers track the running quantile with piecewise-parabolic
-    height adjustment: O(1) memory, O(1) per sample, and — crucially
-    for the campaign digests — a pure function of the sample sequence.
-    Until five samples arrive the exact order statistic is returned.
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments", "count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q!r}")
-        self.q = q
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        """Fold one sample in (NaN is skipped; it has no rank)."""
-        if value != value:
-            return
-        self.count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(value)
-            heights.sort()
-            return
-        positions = self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._increments[i]
-        for i in (1, 2, 3):
-            delta = desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    @property
-    def value(self) -> float:
-        """The current quantile estimate (NaN before any sample)."""
-        heights = self._heights
-        if not heights:
-            return math.nan
-        if len(heights) < 5:
-            # Exact order statistic while the marker set is filling.
-            rank = self.q * (len(heights) - 1)
-            low = int(math.floor(rank))
-            high = int(math.ceil(rank))
-            if low == high:
-                return heights[low]
-            fraction = rank - low
-            return heights[low] + fraction * (heights[high] - heights[low])
-        return heights[2]
-
-
-class QuantileSketch:
-    """A bank of :class:`P2Quantile` markers over one latency stream.
-
-    The default quantiles are the ones the report CLI prints for dial
-    and traffic latencies (median, tail, extreme tail).
-    """
-
-    DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
-
-    __slots__ = ("name", "quantiles", "_estimators", "stats")
-
-    def __init__(
-        self, name: str = "", quantiles: Sequence[float] = DEFAULT_QUANTILES
-    ) -> None:
-        if not quantiles:
-            raise ValueError("need at least one quantile")
-        self.name = name
-        self.quantiles = tuple(quantiles)
-        self._estimators = [P2Quantile(q) for q in self.quantiles]
-        self.stats = StreamingStats()
-
-    def observe(self, value: float) -> None:
-        """Fold one sample into every estimator."""
-        self.stats.observe(value)
-        for estimator in self._estimators:
-            estimator.observe(value)
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        """Fold a batch into every estimator (needs a real sequence,
-        not a one-shot iterator — it is walked once per estimator).
-
-        Each estimator consumes the batch independently, so the final
-        state is identical to calling :meth:`observe` per sample: the
-        markers never interact across estimators.
-        """
-        self.stats.observe_many(values)
-        for estimator in self._estimators:
-            observe = estimator.observe
-            for value in values:
-                observe(value)
-
-    @property
-    def count(self) -> int:
-        """Samples observed so far."""
-        return self.stats.count
-
-    def quantile(self, q: float) -> float:
-        """The estimate for a configured quantile ``q``."""
-        for want, estimator in zip(self.quantiles, self._estimators):
-            if want == q:
-                return estimator.value
-        raise KeyError(f"quantile {q!r} not tracked (have {self.quantiles!r})")
-
-    def as_dict(self) -> Dict[str, float]:
-        """Exportable snapshot: count/mean/extremes plus every quantile."""
-        out = self.stats.as_dict()
-        for q, estimator in zip(self.quantiles, self._estimators):
-            out[f"p{round(q * 100):02d}"] = estimator.value
-        return out
-
-
-def stream_windowed(
-    samples,
-    window: float,
-    mode: str,
-    start: float = 0.0,
-    end: Optional[float] = None,
-    empty_value: Optional[float] = None,
-) -> Tuple[List[float], List[float]]:
-    """One-shot helper: stream ``(t, value)`` pairs through windows."""
-    windows = StreamingWindows(
-        window, mode=mode, start=start, end=end, empty_value=empty_value
-    )
-    for t, value in samples:
-        windows.add(t, value)
-    return windows.finish()

@@ -5,18 +5,10 @@ fleet groups — are embarrassingly parallel: every job is an
 independent simulation fully described by its payload.  This package
 shards them across a process pool and merges the results in
 stable job-key order, so the campaign digest is bit-identical for any
-``-j``; a content-addressed cache (keyed by source tree, scenario,
-and seed) skips jobs whose inputs have not changed.  See
-``docs/PARALLEL.md`` for the job model and the determinism contract.
+``-j``.  Every job runs fresh.  See ``docs/PARALLEL.md`` for the job
+model and the determinism contract.
 """
 
-from repro.parallel.cache import (
-    CacheStats,
-    ResultCache,
-    default_cache_dir,
-    source_tree_digest,
-    tree_digest,
-)
 from repro.parallel.entrypoints import (
     chaos_jobs,
     fleet_jobs,
@@ -42,15 +34,12 @@ from repro.parallel.runner import (
 
 __all__ = [
     "ENTRY_POINTS",
-    "CacheStats",
     "CampaignResult",
     "Job",
     "JobOutput",
     "JobResult",
-    "ResultCache",
     "campaign_digest",
     "chaos_jobs",
-    "default_cache_dir",
     "default_start_method",
     "entry_point",
     "execute_job",
@@ -58,8 +47,6 @@ __all__ = [
     "resolve_entry_point",
     "run_campaign",
     "scenario_jobs",
-    "source_tree_digest",
     "sweep_jobs",
-    "tree_digest",
     "validate_jobs",
 ]

@@ -4,8 +4,7 @@ Each entry point is a module-level function (spawn-safe by
 construction) that rebuilds *everything* from its payload — the
 scenario config, the seed, the duration all travel in the job, never
 in process state — which is what makes a job's ``stable`` output a
-pure function of the payload and therefore cacheable and
-``-j``-independent.  The matching ``*_jobs`` builders construct the
+pure function of the payload and therefore ``-j``-independent.  The matching ``*_jobs`` builders construct the
 descriptors the CLI and the tests feed to
 :func:`repro.parallel.runner.run_campaign`.
 """

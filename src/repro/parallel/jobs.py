@@ -4,9 +4,8 @@ A :class:`Job` is everything a worker needs to produce one result —
 a ``kind`` naming a registered entry point, a campaign-unique ``key``
 (the merge sort key), and a JSON-able ``payload`` holding every input
 the simulation depends on (scenario config, seed, duration, ...).
-Jobs carry *data only*: they pickle cheaply, survive ``spawn`` start
-methods, and — because the payload is the complete input — double as
-the content-addressed cache key (see :mod:`repro.parallel.cache`).
+Jobs carry *data only*: they pickle cheaply and survive ``spawn``
+start methods.
 
 Entry points are module-level functions registered under their kind
 with :func:`entry_point`; they receive the payload and return a
@@ -45,43 +44,15 @@ class Job:
     key: str
     payload: Dict[str, Any] = field(default_factory=dict)
 
-    def payload_json(self) -> str:
-        """Canonical JSON of the payload (cache-key material)."""
-        return json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
-
 
 @dataclass
 class JobResult:
-    """One executed (or cache-restored) job, ready to merge."""
+    """One executed job, ready to merge."""
 
     key: str
     kind: str
     stable: Dict[str, Any]
     metrics: Dict[str, Dict[str, Any]]
-    wall_s: float
-    cached: bool = False
-
-    def record(self) -> Dict[str, Any]:
-        """The JSON document the result cache persists."""
-        return {
-            "key": self.key,
-            "kind": self.kind,
-            "stable": self.stable,
-            "metrics": self.metrics,
-            "wall_s": self.wall_s,
-        }
-
-    @classmethod
-    def from_record(cls, record: Dict[str, Any], cached: bool = False) -> "JobResult":
-        """Rebuild a result from a cache document."""
-        return cls(
-            key=record["key"],
-            kind=record["kind"],
-            stable=record["stable"],
-            metrics=record.get("metrics", {}),
-            wall_s=record.get("wall_s", 0.0),
-            cached=cached,
-        )
 
     def stable_digest_line(self) -> str:
         """The canonical record the campaign digest hashes for this job."""

@@ -19,7 +19,7 @@ configs are the models):
 Specs validate eagerly on construction (a typo can never produce a
 scenario that silently does nothing) and round-trip through JSON-safe
 payloads exactly like :mod:`repro.fleet.spec`, so fleet node specs and
-campaign caches can carry them.
+campaign job payloads can carry them.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ class ScenarioSpec:
         except FaultSpecError as exc:  # pragma: no cover - defensive
             raise ScenarioSpecError(f"remote-SIM faults invalid: {exc}") from exc
 
-    # -- JSON round-trip (the fleet/cache carrier format) ---------------
+    # -- JSON round-trip (the fleet/job payload format) ----------------
 
     def to_payload(self) -> Dict[str, Any]:
         """A JSON-safe dict describing this spec exactly."""

@@ -13,25 +13,27 @@ from repro.faults.chaos import (
     BUILTIN_SCENARIOS,
     DEGRADED,
     RECOVERED,
-    run_campaign,
     run_scenario,
     scenario_names,
 )
+from repro.parallel import chaos_jobs, run_campaign
 
 SCENARIOS = {scenario.name: scenario for scenario in BUILTIN_SCENARIOS}
 
 
-def _run_all():
-    """One campaign run shared by every per-scenario assertion below."""
-    code, campaign_reports = run_campaign()
-    return code, {report["scenario"]: report for report in campaign_reports}
+def _reports(names=None):
+    """scenario name → report for one campaign run."""
+    campaign = run_campaign(chaos_jobs(names=names))
+    return {result.stable["scenario"]: result.stable for result in campaign.results}
 
 
-CODE, REPORTS = _run_all()
+# One campaign run shared by every per-scenario assertion below.
+REPORTS = _reports()
 
 
 def test_campaign_exit_code_is_zero():
-    assert CODE == 0
+    # `repro chaos` exits 0 exactly when every report is ok.
+    assert all(report["ok"] for report in REPORTS.values())
 
 
 def test_every_builtin_scenario_reported():
@@ -98,11 +100,13 @@ def test_two_runs_are_bit_identical(name):
 
 
 def test_check_mode_flags_determinism():
-    code, campaign_reports = run_campaign(names=["baseline", "serial_drop"], check=True)
-    assert code == 0
-    assert all(report["deterministic"] for report in campaign_reports)
+    names = ["baseline", "serial_drop"]
+    first, second = _reports(names), _reports(names)
+    assert sorted(first) == names
+    for name in names:
+        assert first[name]["digest"] == second[name]["digest"]
 
 
 def test_unknown_scenario_raises():
     with pytest.raises(KeyError):
-        run_campaign(names=["baseline", "nosuch"])
+        chaos_jobs(names=["baseline", "nosuch"])

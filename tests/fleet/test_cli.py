@@ -11,7 +11,7 @@ from repro.fleet.spec import MAX_GROUP_SIZE
 def run_fleet(capsys, *extra):
     argv = [
         "fleet", "--nodes", "4", "--group-size", "4",
-        "--duration", "1", "--stagger", "6", "-j", "1", "--no-cache",
+        "--duration", "1", "--stagger", "6", "-j", "1",
         *extra,
     ]
     code = main(argv)
@@ -35,6 +35,18 @@ def test_fleet_runs_and_reports(capsys, tmp_path):
     text = om.read_text()
     assert "repro_fleet_lease_starved_total" in text
     assert "repro_fleet_fairness_jain" in text
+
+
+def test_fleet_openmetrics_on_stdout_is_the_bare_exposition(capsys, tmp_path):
+    # An export to "-" owns stdout: no table row or file confirmation
+    # before the exposition and no summary or campaign line after "# EOF".
+    jsonl = tmp_path / "fleet.jsonl"
+    code, out = run_fleet(capsys, "--jsonl", str(jsonl), "--openmetrics")
+    assert code == 0
+    assert out.startswith("# ")
+    assert out.endswith("# EOF\n")
+    assert "repro_fleet_fairness_jain" in out
+    assert json.loads(jsonl.read_text())["clean"]
 
 
 def test_fleet_check_verifies_determinism(capsys):

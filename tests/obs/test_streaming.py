@@ -8,20 +8,11 @@ not approximate agreement.
 
 import math
 import random
-import statistics
 from array import array
 
 import pytest
 
-from repro.obs.streaming import (
-    QOS_WINDOW,
-    WINDOW_MODES,
-    P2Quantile,
-    QuantileSketch,
-    StreamingStats,
-    StreamingWindows,
-    stream_windowed,
-)
+from repro.obs.streaming import QOS_WINDOW, WINDOW_MODES, StreamingWindows
 from repro.sim.monitor import TimeSeries
 
 
@@ -61,10 +52,13 @@ class TestStreamingWindows:
         buffered = series.window_aggregate(
             QOS_WINDOW, BUFFERED_FUNCS[mode], empty_value=empty
         )
-        times, values = stream_windowed(
-            series.as_pairs(), QOS_WINDOW, mode, empty_value=empty,
+        agg = StreamingWindows(
+            QOS_WINDOW, mode=mode, empty_value=empty,
             end=series.times[-1] + QOS_WINDOW,
         )
+        for t, value in series.as_pairs():
+            agg.add(t, value)
+        times, values = agg.finish()
         assert times == buffered.times
         _values_equal(values, buffered.values)
 
@@ -74,9 +68,10 @@ class TestStreamingWindows:
         buffered = series.window_aggregate(
             0.5, BUFFERED_FUNCS["mean"], start=start, end=end
         )
-        times, values = stream_windowed(
-            series.as_pairs(), 0.5, "mean", start=start, end=end
-        )
+        agg = StreamingWindows(0.5, mode="mean", start=start, end=end)
+        for t, value in series.as_pairs():
+            agg.add(t, value)
+        times, values = agg.finish()
         assert times == buffered.times
         _values_equal(values, buffered.values)
 
@@ -90,9 +85,10 @@ class TestStreamingWindows:
         assert values == [1.0, 0.0, 1.0]
 
     def test_gap_windows_get_the_empty_value(self):
-        times, values = stream_windowed(
-            [(0.1, 2.0), (2.1, 4.0)], 1.0, "mean", end=3.0
-        )
+        agg = StreamingWindows(1.0, mode="mean", end=3.0)
+        agg.add(0.1, 2.0)
+        agg.add(2.1, 4.0)
+        times, values = agg.finish()
         assert times == [0.0, 1.0, 2.0]
         assert values[0] == 2.0
         assert math.isnan(values[1])
@@ -133,37 +129,8 @@ class TestStreamingWindows:
         assert StreamingWindows(1.0).finish() == ([], [])
 
 
-class TestStreamingStats:
-    def test_matches_buffered_mean_exactly(self):
-        rng = random.Random(5)
-        samples = [rng.uniform(-3.0, 9.0) for _ in range(1000)]
-        stats = StreamingStats()
-        for value in samples:
-            stats.observe(value)
-        assert stats.count == 1000
-        assert stats.total == sum(samples)
-        assert stats.mean == sum(samples) / len(samples)
-        assert stats.minimum == min(samples)
-        assert stats.maximum == max(samples)
-        assert stats.stdev == pytest.approx(statistics.pstdev(samples))
-
-    def test_nan_samples_are_skipped(self):
-        stats = StreamingStats()
-        stats.observe(2.0)
-        stats.observe(math.nan)
-        stats.observe(4.0)
-        assert stats.count == 2
-        assert stats.mean == 3.0
-
-    def test_empty_stats_export_nan(self):
-        snapshot = StreamingStats().as_dict()
-        assert snapshot["count"] == 0
-        assert math.isnan(snapshot["mean"])
-        assert math.isnan(snapshot["min"])
-
-
 class TestBulkIngest:
-    """``add_many``/``observe_many`` are bit-identical to the unit calls."""
+    """``add_many`` is bit-identical to the unit calls."""
 
     @pytest.mark.parametrize("mode", WINDOW_MODES)
     def test_add_many_matches_add_bitwise(self, mode):
@@ -215,100 +182,3 @@ class TestBulkIngest:
         agg.finish()
         with pytest.raises(ValueError, match="finished"):
             agg.add_many([0.5], [1.0])
-
-    def test_observe_many_matches_observe_bitwise(self):
-        rng = random.Random(29)
-        samples = [rng.uniform(-3.0, 9.0) for _ in range(1000)]
-        samples[100] = math.nan  # skipped in both paths
-        one = StreamingStats()
-        for value in samples:
-            one.observe(value)
-        bulk = StreamingStats()
-        bulk.observe_many(array("d", samples[:400]))
-        bulk.observe_many(samples[400:])
-        assert bulk.count == one.count
-        assert bulk.total == one.total
-        assert bulk.mean == one.mean
-        assert bulk.stdev == one.stdev
-        assert bulk.minimum == one.minimum
-        assert bulk.maximum == one.maximum
-
-    def test_sketch_observe_many_matches_observe(self):
-        rng = random.Random(41)
-        samples = [rng.uniform(0.0, 1.0) for _ in range(2000)]
-        one = QuantileSketch(quantiles=(0.5, 0.9))
-        for value in samples:
-            one.observe(value)
-        bulk = QuantileSketch(quantiles=(0.5, 0.9))
-        bulk.observe_many(samples)
-        assert bulk.as_dict() == one.as_dict()
-
-
-class TestP2Quantile:
-    def test_exact_order_statistics_below_five_samples(self):
-        estimator = P2Quantile(0.5)
-        for value in (5.0, 1.0, 3.0):
-            estimator.observe(value)
-        assert estimator.value == 3.0
-
-    def test_tracks_the_median_of_a_uniform_stream(self):
-        rng = random.Random(17)
-        estimator = P2Quantile(0.5)
-        for _ in range(5000):
-            estimator.observe(rng.uniform(0.0, 1.0))
-        assert estimator.value == pytest.approx(0.5, abs=0.05)
-
-    def test_tracks_the_tail_of_a_uniform_stream(self):
-        rng = random.Random(23)
-        estimator = P2Quantile(0.9)
-        for _ in range(5000):
-            estimator.observe(rng.uniform(0.0, 1.0))
-        assert estimator.value == pytest.approx(0.9, abs=0.05)
-
-    def test_deterministic_for_a_given_sequence(self):
-        samples = [math.sin(i * 0.7) * 10.0 for i in range(500)]
-        a, b = P2Quantile(0.9), P2Quantile(0.9)
-        for value in samples:
-            a.observe(value)
-            b.observe(value)
-        assert a.value == b.value
-
-    def test_nan_has_no_rank(self):
-        estimator = P2Quantile(0.5)
-        for value in (1.0, math.nan, 3.0):
-            estimator.observe(value)
-        assert estimator.count == 2
-        assert estimator.value == 2.0
-
-    def test_rejects_degenerate_quantiles(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    def test_empty_estimate_is_nan(self):
-        assert math.isnan(P2Quantile(0.5).value)
-
-
-class TestQuantileSketch:
-    def test_exports_every_configured_quantile(self):
-        sketch = QuantileSketch("rtt")
-        rng = random.Random(3)
-        for _ in range(2000):
-            sketch.observe(rng.uniform(0.0, 1.0))
-        snapshot = sketch.as_dict()
-        assert {"count", "mean", "p50", "p90", "p99"} <= set(snapshot)
-        assert snapshot["count"] == 2000
-        assert snapshot["p50"] <= snapshot["p90"] <= snapshot["p99"]
-
-    def test_quantile_lookup_matches_estimator(self):
-        sketch = QuantileSketch(quantiles=(0.5,))
-        for value in (1.0, 2.0, 3.0):
-            sketch.observe(value)
-        assert sketch.quantile(0.5) == 2.0
-        with pytest.raises(KeyError):
-            sketch.quantile(0.25)
-
-    def test_needs_at_least_one_quantile(self):
-        with pytest.raises(ValueError):
-            QuantileSketch(quantiles=())

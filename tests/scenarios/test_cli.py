@@ -14,7 +14,7 @@ def test_chaos_scenario_grammar_list_prints_all_points(capsys):
 
 
 def test_chaos_scenario_grammar_runs_points(capsys):
-    args = ["chaos", "--scenario-grammar", "--no-cache"]
+    args = ["chaos", "--scenario-grammar"]
     for point in POINTS:
         args += ["--scenario", point]
     assert main(args) == 0
@@ -26,7 +26,7 @@ def test_chaos_scenario_grammar_runs_points(capsys):
 
 def test_chaos_scenario_grammar_jsonl_byte_identical_j1_vs_j2(tmp_path):
     one, two = tmp_path / "j1.jsonl", tmp_path / "j2.jsonl"
-    base = ["chaos", "--scenario-grammar", "--no-cache",
+    base = ["chaos", "--scenario-grammar",
             "--scenario", POINTS[0], "--scenario", POINTS[1]]
     assert main(base + ["--jsonl", str(one)]) == 0
     assert main(base + ["-j", "2", "--jsonl", str(two)]) == 0
@@ -34,15 +34,14 @@ def test_chaos_scenario_grammar_jsonl_byte_identical_j1_vs_j2(tmp_path):
 
 
 def test_chaos_unknown_grammar_point_exits_2(capsys):
-    assert main(["chaos", "--scenario-grammar", "--no-cache",
+    assert main(["chaos", "--scenario-grammar",
                  "--scenario", "climb/blizzard/home/local"]) == 2
     assert "blizzard" in capsys.readouterr().err
 
 
 def test_sweep_scenario_changes_the_digest(capsys):
     def digest(extra):
-        assert main(["sweep", "--seeds", "2", "--duration", "5",
-                     "--no-cache"] + extra) == 0
+        assert main(["sweep", "--seeds", "2", "--duration", "5"] + extra) == 0
         out = capsys.readouterr().out
         (line,) = [ln for ln in out.splitlines()
                    if ln.startswith("campaign: digest=")]
@@ -54,19 +53,19 @@ def test_sweep_scenario_changes_the_digest(capsys):
 
 
 def test_sweep_bad_scenario_exits_2(capsys):
-    assert main(["sweep", "--seeds", "2", "--no-cache",
+    assert main(["sweep", "--seeds", "2",
                  "--scenario", "not/a/real/point"]) == 2
 
 
 def test_fleet_scenario_flag_threads_through(capsys):
     assert main(["fleet", "--nodes", "4", "--group-size", "2",
                  "--duration", "1", "--stagger", "6",
-                 "--no-cache", "--scenario", POINTS[0],
+                 "--scenario", POINTS[0],
                  "--scenario", POINTS[1]]) == 0
     out = capsys.readouterr().out
     assert "fleet: 4 node(s) in 2 group(s)" in out
 
 
 def test_fleet_bad_scenario_exits_2(capsys):
-    assert main(["fleet", "--nodes", "4", "--no-cache",
+    assert main(["fleet", "--nodes", "4",
                  "--scenario", "nope"]) == 2

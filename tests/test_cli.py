@@ -108,7 +108,7 @@ def test_report_jsonl_records(tmp_path):
 def test_report_campaign_openmetrics_identical_across_workers(tmp_path):
     serial, pooled = tmp_path / "j1.om", tmp_path / "j2.om"
     base = ["report", "--campaign", "sweep", "--seeds", "1:2",
-            "--duration", "5", "--no-cache"]
+            "--duration", "5"]
     assert main(base + ["-j", "1", "--openmetrics", str(serial)]) == 0
     assert main(base + ["-j", "2", "--openmetrics", str(pooled)]) == 0
     data = serial.read_bytes()
@@ -118,7 +118,7 @@ def test_report_campaign_openmetrics_identical_across_workers(tmp_path):
 
 def test_report_campaign_human_summary(capsys):
     assert main(["report", "--campaign", "sweep", "--seeds", "1",
-                 "--duration", "5", "--no-cache"]) == 0
+                 "--duration", "5"]) == 0
     out = capsys.readouterr().out
     assert "sweep campaign: 1 job(s)" in out
     assert "traffic.packets_sent" in out
@@ -132,9 +132,9 @@ def test_report_rejects_bad_seed_spec(capsys):
 @pytest.mark.parametrize("duration", ["nan", "inf", "0"])
 @pytest.mark.parametrize(
     "command",
-    [["voip"], ["saturation"], ["sweep", "--seeds", "1", "--no-cache"],
-     ["report", "--campaign", "sweep", "--seeds", "1", "--no-cache"],
-     ["fleet", "--nodes", "2", "--no-cache"]],
+    [["voip"], ["saturation"], ["sweep", "--seeds", "1"],
+     ["report", "--campaign", "sweep", "--seeds", "1"],
+     ["fleet", "--nodes", "2"]],
 )
 def test_non_finite_duration_is_a_usage_error(command, duration, capsys):
     # A NaN or infinite duration used to pass every check and hang the
@@ -286,12 +286,20 @@ def test_lint_skips_existing_non_python_files(tmp_path, capsys):
     assert "lint: 0 finding(s)" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", [["-j", "2"], ["--no-cache"], ["--cache-stats"],
-                                  ["--cache-dir", "cache"]])
+CACHE_FLAGS = [["--no-cache"], ["--cache-stats"], ["--cache-dir", "cache"]]
+CAMPAIGNS = [["chaos"], ["sweep"], ["report", "--campaign", "chaos"], ["fleet"]]
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["lint", "-j", "2"]] + [["lint"] + flag for flag in CACHE_FLAGS]
+    + [command + flag for command in CAMPAIGNS for flag in CACHE_FLAGS],
+)
 def test_lint_has_no_campaign_flags(flag, capsys):
-    # Lint is one in-process pass: no sharding, no result cache.
+    # Lint is one in-process pass with no sharding, and no command has a
+    # result cache: every campaign runs fresh.
     with pytest.raises(SystemExit) as exc:
-        main(["lint"] + flag)
+        main(flag)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

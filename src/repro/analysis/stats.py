@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
+from repro.sim.monitor import ordered_sum
+
 
 def _finite(values: Sequence[float]) -> List[float]:
     return [v for v in values if v == v and not math.isinf(v)]
@@ -20,7 +22,7 @@ def mean(values: Sequence[float]) -> float:
     finite = _finite(values)
     if not finite:
         return math.nan
-    return sum(finite) / len(finite)
+    return ordered_sum(finite) / len(finite)
 
 
 def stdev(values: Sequence[float]) -> float:
@@ -29,7 +31,7 @@ def stdev(values: Sequence[float]) -> float:
     if len(finite) < 2:
         return math.nan
     mu = mean(finite)
-    return math.sqrt(sum((v - mu) ** 2 for v in finite) / len(finite))
+    return math.sqrt(ordered_sum((v - mu) ** 2 for v in finite) / len(finite))
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -68,6 +70,6 @@ def confidence_interval_95(values: Sequence[float]) -> Tuple[float, float]:
         return (math.nan, math.nan)
     mu = mean(finite)
     # Sample stdev (n-1) for the standard error.
-    variance = sum((v - mu) ** 2 for v in finite) / (len(finite) - 1)
+    variance = ordered_sum((v - mu) ** 2 for v in finite) / (len(finite) - 1)
     half_width = 1.96 * math.sqrt(variance / len(finite))
     return (mu - half_width, mu + half_width)

@@ -7,8 +7,11 @@ characterization run produces — the sender/receiver packet logs, the
 RTT records, the end-of-run summary, all four figure series, and the
 RAB grade history — into one SHA-256, so "bit-identical results" is a
 single string comparison.  ``repr`` of Python floats is
-shortest-round-trip and therefore stable across platforms and the
-CPython versions CI runs.
+shortest-round-trip, and every float total in these outputs is added
+left to right by :func:`repro.sim.monitor.window_fold` or
+:func:`repro.sim.monitor.ordered_sum` rather than builtin ``sum()``
+(compensated since CPython 3.12), so the digests are the same across
+platforms and the CPython versions CI runs.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.sim.engine import Simulator
+from repro.sim.monitor import ordered_sum
 from repro.sim.process import Signal
 
 
@@ -118,8 +119,8 @@ def jain_index(values: List[float]) -> float:
     """Jain's fairness index: 1.0 is perfectly fair, 1/n is worst."""
     if not values:
         return 1.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
+    total = ordered_sum(values)
+    squares = ordered_sum(v * v for v in values)
     if squares == 0.0:
         return 1.0
     return (total * total) / (len(values) * squares)

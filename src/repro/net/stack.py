@@ -130,10 +130,6 @@ class IPStack:
             net = iface.connected_network()
             self.rpdb.main.add(Route(net, iface.name, src=iface.address), replace=True)
 
-    def local_addresses(self) -> List[IPv4Address]:
-        """Every address assigned to this stack's interfaces."""
-        return [i.address for i in self.interfaces.values() if i.address is not None]
-
     def is_local_address(self, addr: AddressLike) -> bool:
         """Whether ``addr`` belongs to this node (incl. 127/8)."""
         value = ip(addr)._ip  # type: ignore[attr-defined]

@@ -101,23 +101,6 @@ class Iptables:
         """``-L``: the rules of a chain, in order."""
         return list(self._chain(table, chain).rules)
 
-    def rule_counters(self) -> dict:
-        """``-L -v``-style snapshot: per-rule packet/byte counters.
-
-        Keys are ``table/chain[index] <rule spec>``; the observability
-        layer exports this alongside the metrics registry so per-slice
-        marking and drop rules can be audited after a run.
-        """
-        out = {}
-        for table_name in sorted(self.netfilter.tables):
-            table = self.netfilter.tables[table_name]
-            for chain_name in sorted(table.chains):
-                chain = table.chains[chain_name]
-                for index, rule in enumerate(chain.rules):
-                    key = f"{table_name}/{chain_name}[{index}] {rule!r}"
-                    out[key] = {"packets": rule.packets, "bytes": rule.bytes}
-        return out
-
     def _chain(self, table: str, chain: str) -> Chain:
         try:
             return self.netfilter.table(table).chain(chain)

@@ -14,8 +14,6 @@ Recording, threaded through every subsystem of the reproduction:
 
 Analysis and export, on top of the recordings:
 
-- :mod:`repro.obs.streaming` — constant-memory online aggregation of
-  the windowed QoS stats, fed sample-by-sample;
 - :mod:`repro.obs.exporter` — deterministic OpenMetrics text
   exposition of any registry snapshot;
 - :mod:`repro.obs.timeline` — phase trees and critical-path analysis
@@ -57,7 +55,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import SimProfiler
 from repro.obs.sinks import DEFAULT_FLIGHT_CAPACITY, FlightRecorder, JsonlSink, ListSink
-from repro.obs.streaming import StreamingWindows
 from repro.obs.timeline import Timeline
 from repro.obs.trace import (
     KIND_ERROR,
@@ -152,7 +149,6 @@ __all__ = [
     "Observability",
     "SimProfiler",
     "Span",
-    "StreamingWindows",
     "Timeline",
     "TraceBus",
     "TraceEvent",

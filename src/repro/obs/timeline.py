@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.trace import KIND_ERROR, KIND_SPAN_END, KIND_SPAN_START
+from repro.sim.monitor import ordered_sum
 
 #: Point-event names attributed specially to their enclosing phase.
 RETRY_EVENT = "umts.retry"
@@ -69,7 +70,7 @@ class PhaseNode:
         """Duration not covered by closed child spans."""
         if self.duration is None:
             return None
-        child_total = sum(c.duration or 0.0 for c in self.children)
+        child_total = ordered_sum(c.duration or 0.0 for c in self.children)
         return max(0.0, self.duration - child_total)
 
     def walk(self) -> Iterable["PhaseNode"]:

@@ -8,6 +8,3 @@ class SimulationError(Exception):
 class ScheduleInPastError(SimulationError):
     """An event was scheduled at a time earlier than the current clock."""
 
-
-class DeadSimulatorError(SimulationError):
-    """An operation was attempted on a simulator that already finished."""

@@ -2,23 +2,80 @@
 
 The paper reports every QoS parameter as "average values calculated
 over non-overlapping windows of 200 milliseconds".  :class:`TimeSeries`
-stores raw (time, value) samples; :meth:`TimeSeries.window_average` and
-friends produce exactly that kind of windowed series, which the benches
-print as the figures' data rows.
+stores raw (time, value) samples; :meth:`TimeSeries.window_average`
+produces exactly that kind of windowed series, which the benches print
+as the figures' data rows.
 
-The standard aggregations (mean/sum/count) stream through
-:class:`repro.obs.streaming.StreamingWindows` — constant memory beyond
-the output, same floats as the historical bucket-table implementation.
-:meth:`TimeSeries.window_aggregate` keeps the buffered path for
-arbitrary aggregation callables.
+:func:`window_fold` is the one implementation of that reduction: the
+decoder feeds it sample generators directly and
+:meth:`TimeSeries.window_average` feeds it stored samples.  It adds
+the floats of each window left to right from ``0.0``, the same order
+:func:`ordered_sum` uses for every summary mean, so the golden run
+digests are the same on every CPython version.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from repro.obs.streaming import StreamingWindows
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Sum floats strictly left to right, starting from ``0.0``.
+
+    Every float total that feeds a run digest or a report goes through
+    here.  Builtin ``sum()`` is not used for them because CPython 3.12
+    switched it to compensated (Neumaier) addition, which rounds
+    differently from 3.10/3.11; ``math.fsum`` and ``statistics.fmean``
+    round differently again.  One plain ``+=`` loop gives the same
+    bits on every interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def window_fold(
+    samples: Iterable[Tuple[float, float]],
+    window: float,
+    start: float,
+    end: float,
+    mean: bool,
+) -> Tuple[List[float], List[float]]:
+    """Fold ``(t, v)`` samples into non-overlapping windows of ``window`` s.
+
+    Returns ``(times, values)``: one entry per window in
+    ``[start, end)``, stamped at the window start.  Each value is the
+    window's mean (``mean=True``; NaN for an empty window) or its sum
+    (``mean=False``; 0.0 for an empty window).  Samples before
+    ``start`` or at/after ``end`` are dropped; a sample whose index
+    rounds past the last window (float division at the edge) lands in
+    the last one.  Samples need not be time-ordered, but within a
+    window they are added in input order, like :func:`ordered_sum`.
+    """
+    if window <= 0:
+        raise ValueError(f"window must be positive, got {window!r}")
+    n_windows = max(0, int(math.ceil((end - start) / window)))
+    if n_windows == 0:  # also when (end - start) / window underflows to 0.0
+        return [], []
+    last = n_windows - 1
+    totals = [0.0] * n_windows
+    counts = [0] * n_windows
+    for t, value in samples:
+        if t < start or t >= end:
+            continue
+        index = int((t - start) / window)
+        if index > last:
+            index = last
+        totals[index] += value
+        counts[index] += 1
+    times = [start + i * window for i in range(n_windows)]
+    if not mean:
+        return times, totals
+    return times, [
+        total / count if count else math.nan for total, count in zip(totals, counts)
+    ]
 
 
 class TimeSeries:
@@ -50,7 +107,7 @@ class TimeSeries:
         values = self._finite()
         if not values:
             return math.nan
-        return sum(values) / len(values)
+        return ordered_sum(values) / len(values)
 
     def maximum(self) -> float:
         """Largest (non-NaN) value; NaN when empty."""
@@ -75,7 +132,7 @@ class TimeSeries:
         if not values:
             return math.nan
         mu = self.mean()
-        return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
+        return math.sqrt(ordered_sum((v - mu) ** 2 for v in values) / len(values))
 
     def between(self, start: float, end: float) -> "TimeSeries":
         """Sub-series with start <= time < end."""
@@ -85,73 +142,20 @@ class TimeSeries:
                 out.add(t, v)
         return out
 
-    def window_aggregate(
-        self,
-        window: float,
-        func: Callable[[Sequence[float]], float],
-        start: float = 0.0,
-        end: Optional[float] = None,
-        empty_value: float = math.nan,
-    ) -> "TimeSeries":
-        """Aggregate samples into non-overlapping windows of ``window`` s.
-
-        Each output sample is stamped at the window start.  Windows with
-        no samples yield ``empty_value``.
-        """
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window!r}")
-        if end is None:
-            end = self.times[-1] + window if self.times else start
-        out = TimeSeries(self.name)
-        n_windows = max(0, int(math.ceil((end - start) / window)))
-        buckets: List[List[float]] = [[] for _ in range(n_windows)]
-        for t, v in zip(self.times, self.values):
-            if t < start or t >= end:
-                continue
-            index = int((t - start) / window)
-            if index >= n_windows:
-                index = n_windows - 1
-            buckets[index].append(v)
-        for i, bucket in enumerate(buckets):
-            value = func(bucket) if bucket else empty_value
-            out.add(start + i * window, value)
-        return out
-
-    def _window_streaming(
-        self, window: float, mode: str, start: float, end: Optional[float]
-    ) -> "TimeSeries":
-        """Stream the samples through one online window aggregator."""
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window!r}")
-        if end is None:
-            end = self.times[-1] + window if self.times else start
-        agg = StreamingWindows(window, mode=mode, start=start, end=end)
-        # The series already holds parallel columns: one bulk call
-        # replaces a per-sample add() loop on the hot analysis path.
-        agg.add_many(self.times, self.values)
-        times, values = agg.finish()
-        out = TimeSeries(self.name)
-        out.times = times
-        out.values = values
-        return out
-
     def window_average(
         self, window: float, start: float = 0.0, end: Optional[float] = None
     ) -> "TimeSeries":
-        """Windowed arithmetic mean (the paper's reporting method)."""
-        return self._window_streaming(window, "mean", start, end)
+        """Windowed arithmetic mean (the paper's reporting method).
 
-    def window_sum(
-        self, window: float, start: float = 0.0, end: Optional[float] = None
-    ) -> "TimeSeries":
-        """Windowed sum; empty windows yield 0 (e.g. bytes per window)."""
-        return self._window_streaming(window, "sum", start, end)
-
-    def window_count(
-        self, window: float, start: float = 0.0, end: Optional[float] = None
-    ) -> "TimeSeries":
-        """Windowed sample count; empty windows yield 0."""
-        return self._window_streaming(window, "count", start, end)
+        ``end`` defaults to one window past the last sample.
+        """
+        if end is None:
+            end = self.times[-1] + window if self.times else start
+        out = TimeSeries(self.name)
+        out.times, out.values = window_fold(
+            zip(self.times, self.values), window, start, end, mean=True
+        )
+        return out
 
     def as_pairs(self) -> List[Tuple[float, float]]:
         """The series as a list of (time, value) tuples."""

@@ -2,7 +2,10 @@
 
 Every quantity is reported exactly the way §3.1 describes: "samples
 [...] represent the average values calculated over non-overlapping
-windows of 200 milliseconds":
+windows of 200 milliseconds".  Each series is one
+:func:`~repro.sim.monitor.window_fold` over a sample generator, and
+the summary means use :func:`~repro.sim.monitor.ordered_sum`, so both
+add their floats in the same left-to-right order on every CPython:
 
 - **bitrate** — payload bits delivered per window (kbit/s), binned by
   arrival time;
@@ -17,19 +20,12 @@ windows of 200 milliseconds":
 from __future__ import annotations
 
 import math
-from array import array
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.obs.streaming import StreamingWindows
-from repro.sim.monitor import TimeSeries
+from repro.sim.monitor import TimeSeries, ordered_sum, window_fold
 from repro.traffic.records import ReceiverLog, SenderLog
 
 DEFAULT_WINDOW = 0.2
-
-#: Samples per bulk-ingest batch when draining an iterator into the
-#: window aggregator: big enough to amortize the call, small enough to
-#: keep the decoder constant-memory.
-_INGEST_CHUNK = 4096
 
 
 class FlowSummary(NamedTuple):
@@ -104,44 +100,25 @@ class ItgDecoder:
     def _windowed(
         self,
         name: str,
-        mode: str,
         samples: Iterable[Tuple[float, float]],
         end: float,
+        mean: bool,
     ) -> TimeSeries:
-        """Stream time-ordered samples straight into the paper's windows.
-
-        No raw per-sample series is buffered: samples are drained into
-        fixed-size ``array('d')`` column chunks and bulk-ingested, so
-        memory stays constant beyond the windowed output itself while
-        the aggregation loop runs at the batch rate.
-        """
-        agg = StreamingWindows(self.window, mode=mode, start=0.0, end=end)
-        t_col = array("d")
-        v_col = array("d")
-        for t, value in samples:
-            t_col.append(t)
-            v_col.append(value)
-            if len(t_col) >= _INGEST_CHUNK:
-                agg.add_many(t_col, v_col)
-                del t_col[:], v_col[:]
-        if t_col:
-            agg.add_many(t_col, v_col)
-        times, values = agg.finish()
+        """Fold time-ordered samples straight into the paper's windows."""
         out = TimeSeries(name)
-        out.times = times
-        out.values = values
+        out.times, out.values = window_fold(samples, self.window, 0.0, end, mean)
         return out
 
     def bitrate_kbps(self, end: Optional[float] = None) -> TimeSeries:
         """Received payload bitrate per window, in kbit/s."""
         series = self._windowed(
             "bitrate_kbps",
-            "sum",
             (
                 (record.received_at - self.origin, record.size * 8.0)
                 for record in self._arrivals()
             ),
             self._span(end) - self.origin,
+            mean=False,
         )
         series.values = [bits / self.window / 1000.0 for bits in series.values]
         return series
@@ -150,12 +127,12 @@ class ItgDecoder:
         """Mean one-way delay per window, in seconds."""
         return self._windowed(
             "owd",
-            "mean",
             (
                 (record.received_at - self.origin, record.owd)
                 for record in self._arrivals()
             ),
             self._span(end) - self.origin,
+            mean=True,
         )
 
     def _jitter_samples(self) -> Iterable[Tuple[float, float]]:
@@ -168,14 +145,13 @@ class ItgDecoder:
     def jitter_series(self, end: Optional[float] = None) -> TimeSeries:
         """Mean |OWD variation| between consecutive arrivals, per window."""
         return self._windowed(
-            "jitter", "mean", self._jitter_samples(), self._span(end) - self.origin
+            "jitter", self._jitter_samples(), self._span(end) - self.origin, mean=True
         )
 
     def loss_series(self, end: Optional[float] = None) -> TimeSeries:
         """Packets lost per window (binned by send time)."""
         return self._windowed(
             "loss",
-            "sum",
             (
                 (
                     record.sent_at - self.origin,
@@ -184,6 +160,7 @@ class ItgDecoder:
                 for record in sorted(self.sender_log.sent, key=lambda r: r.sent_at)
             ),
             self.send_end - self.origin + self.window,
+            mean=False,
         )
 
     def rtt_series(self, end: Optional[float] = None) -> TimeSeries:
@@ -194,9 +171,9 @@ class ItgDecoder:
         )
         return self._windowed(
             "rtt",
-            "mean",
             ((sent_at - self.origin, rtt) for sent_at, rtt in samples),
             self.send_end - self.origin + self.window,
+            mean=True,
         )
 
     # -- summary -----------------------------------------------------------
@@ -229,5 +206,5 @@ class ItgDecoder:
         )
 
 
-def _mean(values) -> float:
-    return sum(values) / len(values) if values else math.nan
+def _mean(values: List[float]) -> float:
+    return ordered_sum(values) / len(values) if values else math.nan

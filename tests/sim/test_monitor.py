@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.monitor import Monitor, TimeSeries
+from repro.sim.monitor import Monitor, TimeSeries, window_fold
 
 
 def make_series(pairs):
@@ -66,15 +66,8 @@ def test_window_average_empty_window_is_nan():
 
 
 def test_window_sum_empty_is_zero():
-    ts = make_series([(0.05, 10.0)])
-    win = ts.window_sum(0.2, start=0.0, end=0.6)
-    assert win.values == [10.0, 0.0, 0.0]
-
-
-def test_window_count():
-    ts = make_series([(0.0, 1.0), (0.1, 1.0), (0.3, 1.0)])
-    win = ts.window_count(0.2, start=0.0, end=0.4)
-    assert win.values == [2, 1]
+    _, sums = window_fold([(0.05, 10.0)], 0.2, 0.0, 0.6, mean=False)
+    assert sums == [10.0, 0.0, 0.0]
 
 
 def test_window_rejects_nonpositive():
@@ -91,9 +84,8 @@ def test_window_default_end_covers_last_sample():
 
 
 def test_samples_outside_range_excluded():
-    ts = make_series([(0.0, 1.0), (5.0, 99.0)])
-    win = ts.window_sum(1.0, start=0.0, end=2.0)
-    assert sum(win.values) == 1.0
+    _, sums = window_fold([(0.0, 1.0), (5.0, 99.0)], 1.0, 0.0, 2.0, mean=False)
+    assert sum(sums) == 1.0
 
 
 def test_monitor_creates_named_series():
@@ -127,9 +119,8 @@ def test_monitor_distinct_keys():
 @settings(max_examples=50)
 def test_window_sum_preserves_total(pairs):
     pairs = sorted(pairs, key=lambda p: p[0])
-    ts = make_series(pairs)
-    win = ts.window_sum(7.3, start=0.0, end=101.0)
-    assert sum(win.values) == pytest.approx(sum(v for _, v in pairs), rel=1e-9, abs=1e-6)
+    _, sums = window_fold(pairs, 7.3, 0.0, 101.0, mean=False)
+    assert sum(sums) == pytest.approx(sum(v for _, v in pairs), rel=1e-9, abs=1e-6)
 
 
 @given(
@@ -141,18 +132,6 @@ def test_window_sum_preserves_total(pairs):
 def test_mean_between_min_and_max(values):
     ts = make_series([(float(i), v) for i, v in enumerate(values)])
     assert ts.minimum() - 1e-9 <= ts.mean() <= ts.maximum() + 1e-9
-
-
-def test_window_aggregate_custom_function():
-    ts = make_series([(0.05, 5.0), (0.1, 9.0), (0.25, 2.0)])
-    win = ts.window_aggregate(0.2, max, start=0.0, end=0.4)
-    assert win.values == [9.0, 2.0]
-
-
-def test_window_aggregate_custom_empty_value():
-    ts = make_series([(0.05, 5.0)])
-    win = ts.window_aggregate(0.2, max, start=0.0, end=0.6, empty_value=-1.0)
-    assert win.values == [5.0, -1.0, -1.0]
 
 
 def test_nan_samples_ignored_by_stats():

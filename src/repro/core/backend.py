@@ -25,6 +25,8 @@ from repro.core.connection import UmtsConnectionManager
 from repro.core.errors import UmtsCommandError
 from repro.core.isolation import IsolationManager
 from repro.core.lock import InterfaceLock
+from repro.netfilter.iptables import IptablesError
+from repro.routing.iproute2 import IpRouteError
 from repro.sim.engine import Simulator
 
 USAGE = "usage: umts start | stop | status | add <destination> | del <destination>"
@@ -101,7 +103,9 @@ class UmtsBackend:
             if span is not None:
                 span.fail(str(exc))
             return 1, [f"umts: {exc}"]
-        except ValueError as exc:
+        except (ValueError, IptablesError, IpRouteError) as exc:
+            # A refused ``ip``/``iptables`` line fails the request the
+            # way a refused destination does.
             if span is not None:
                 span.fail(str(exc))
             return 1, [f"umts: {exc}"]

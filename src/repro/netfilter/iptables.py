@@ -13,7 +13,6 @@ marking rules on ``umts del <dest>``.
 
 from __future__ import annotations
 
-import shlex
 from typing import List, Optional
 
 from repro.net.addressing import PROTO_ICMP, PROTO_TCP, PROTO_UDP
@@ -39,6 +38,7 @@ from repro.netfilter.targets import (
     Target,
     Verdict,
 )
+from repro.shellwords import split_command
 
 _PROTO_NUMBERS = {"icmp": PROTO_ICMP, "tcp": PROTO_TCP, "udp": PROTO_UDP}
 
@@ -113,16 +113,22 @@ class Iptables:
         """Execute an iptables command string.
 
         Returns the created rule for ``-A``/``-I``, ``None`` otherwise.
+        A malformed line (an unbalanced quote, a bad number, address or
+        policy) raises :class:`IptablesError`.
         """
         self.history.append(command)
-        argv = shlex.split(command)
-        if argv and argv[0] == "iptables":
-            argv = argv[1:]
+        try:
+            return self._execute(split_command(command), command)
+        except ValueError as exc:
+            raise IptablesError(str(exc)) from exc
+
+    def _execute(self, tokens: List[str], command: str) -> Optional[Rule]:
+        if tokens and tokens[0] == "iptables":
+            tokens = tokens[1:]
         table = "filter"
         operation = None
         chain = None
         index = 0
-        tokens = list(argv)
         # First pass: pull out -t and the operation.
         i = 0
         remaining: List[str] = []

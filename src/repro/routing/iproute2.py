@@ -9,12 +9,12 @@ exact sequence the back-end issued.
 
 from __future__ import annotations
 
-import shlex
 from typing import List, Optional
 
 from repro.net.addressing import AddressLike, NetworkLike
 from repro.routing.rpdb import RoutingPolicyDatabase, Rule
 from repro.routing.table import Route
+from repro.shellwords import split_command
 
 
 class IpRouteError(Exception):
@@ -108,10 +108,16 @@ class IpRoute2:
         ``"rule add fwmark 0x1 lookup umts pref 100"``.
 
         Only the verbs the paper's back-end needs are supported; anything
-        else raises :class:`IpRouteError`.
+        else raises :class:`IpRouteError`, as does a malformed line (an
+        unbalanced quote, a bad number, prefix or address).
         """
         self.history.append(command)
-        argv = shlex.split(command)
+        try:
+            self._execute(split_command(command), command)
+        except ValueError as exc:
+            raise IpRouteError(str(exc)) from exc
+
+    def _execute(self, argv: List[str], command: str) -> None:
         if argv and argv[0] == "ip":
             argv = argv[1:]
         if len(argv) < 2:

@@ -29,9 +29,9 @@ Example script (two flows of the paper's §3 plus background noise)::
 
 from __future__ import annotations
 
-import shlex
 from typing import List, NamedTuple, Optional
 
+from repro.shellwords import split_command
 from repro.sim.engine import Simulator
 from repro.sim.rng import (
     ConstantVariate,
@@ -60,7 +60,7 @@ def parse_script_line(line: str, default_duration: float = 120.0) -> Optional[Sc
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
-    tokens = shlex.split(stripped)
+    tokens = split_command(stripped)
     destination: Optional[str] = None
     dport = 8999
     duration = default_duration

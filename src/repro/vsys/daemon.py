@@ -7,6 +7,7 @@ import shlex
 from typing import Any, Callable, Dict, Generator, List, NamedTuple, Sequence, Set
 
 from repro.faults.errors import VsysProtocolError
+from repro.shellwords import split_command
 from repro.sim.engine import Simulator
 from repro.sim.process import Process, spawn
 from repro.vsys.pipes import EOF, FifoPair
@@ -215,14 +216,15 @@ class VsysDaemon:
 def _parse_request(line: Any) -> List[str]:
     """Split one request line into argv, or raise a *typed* error.
 
-    A truncated FIFO write can land mid-token (an unbalanced quote) or
-    deliver something that is not a line at all; both used to bubble up
-    as bare ``ValueError``/``AttributeError`` from :func:`shlex.split`.
-    The retry layer classifies :class:`VsysProtocolError` as transient.
+    A truncated FIFO write can land mid-token (an unbalanced quote or a
+    trailing backslash, which :func:`repro.shellwords.split_command`
+    rejects with ``ValueError``) or deliver something that is not a line
+    at all.  Both become :class:`VsysProtocolError`, which the retry
+    layer classifies as transient.
     """
     if not isinstance(line, str):
         raise VsysProtocolError(f"expected a request line, got {type(line).__name__}")
     try:
-        return shlex.split(line)
+        return split_command(line)
     except ValueError as exc:
         raise VsysProtocolError(str(exc)) from exc

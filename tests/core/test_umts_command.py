@@ -254,3 +254,19 @@ def test_wire_level_isolation_invariant(scenario):
     egress = sniffer.packets(direction="tx")
     assert len(egress) >= 10
     assert all(p.xid == scenario.slice.xid for p in egress)
+
+
+@pytest.mark.parametrize(
+    "stale, message",
+    [
+        ("route add default dev ppp0 table umts", "umts: route already exists"),
+        ("rule add fwmark 0x1 lookup umts pref 100", "umts: rule already exists"),
+    ],
+)
+def test_refused_ip_line_fails_start_with_a_reply(scenario, stale, message):
+    """A stale entry the back-end's ``ip`` line collides with fails the
+    request with a ``umts:`` reply, whichever layer refused it."""
+    scenario.napoli.stack.ip.run(stale)
+    started = scenario.umts_command().start_blocking()
+    assert started.code == 1
+    assert started.lines[0].startswith(message), started.lines

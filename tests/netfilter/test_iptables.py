@@ -138,6 +138,26 @@ def test_bad_chain_raises(ipt):
         ipt.run("-A NOSUCH -j ACCEPT")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "-P OUTPUT BOGUS",
+        "-I OUTPUT \u00b2 -j DROP",
+        "-A OUTPUT -p udp --dport x -j ACCEPT",
+        "-t mangle -A OUTPUT -j MARK --set-mark zz",
+        "-A OUTPUT -d 1.2.3.999 -j DROP",
+        "-A OUTPUT -o 'ppp0 -j DROP",
+    ],
+)
+def test_malformed_line_raises_iptables_error(ipt, command):
+    with pytest.raises(IptablesError) as caught:
+        ipt.run(command)
+    assert isinstance(caught.value.__cause__, ValueError)
+    assert ipt.history == [command]
+    for table in ("filter", "mangle"):
+        assert ipt.list_rules(table, "OUTPUT") == []
+
+
 def test_history_recorded(ipt):
     ipt.run("-A OUTPUT -j ACCEPT")
     assert ipt.history == ["-A OUTPUT -j ACCEPT"]

@@ -131,6 +131,26 @@ def test_dangling_token_raises(ipr):
         ipr.run("route add default dev")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "route add 10.0.0.0/33 dev eth0",
+        "rule add fwmark zz lookup umts pref 100",
+        "rule add fwmark 0x1 lookup umts pref x",
+        "rule add from 1.2.3.999 lookup umts pref 100",
+        "route add default dev 'ppp0",
+    ],
+)
+def test_malformed_line_raises_iproute_error(ipr, command):
+    rules_before = ipr.rule_list()
+    with pytest.raises(IpRouteError) as caught:
+        ipr.run(command)
+    assert isinstance(caught.value.__cause__, ValueError)
+    assert ipr.history == [command]
+    assert ipr.rule_list() == rules_before
+    assert ipr.route_list() == []
+
+
 def test_rule_from_all(ipr):
     ipr.run("rule add from all lookup umts pref 99")
     rule = [r for r in ipr.rule_list() if r.pref == 99][0]

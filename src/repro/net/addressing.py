@@ -2,10 +2,12 @@
 
 Thin wrappers over :mod:`ipaddress` so the rest of the code base can
 accept either strings or already-parsed objects, plus the well-known
-protocol numbers used throughout the stack.  The per-packet paths
-compare integers: they read an address's value from
-``IPv4Address._ip`` (what ``int()`` returns, without the call) and a
-prefix's from :func:`prefix_ints`.
+protocol numbers used throughout the stack.  :func:`ip` parses at the
+command and configuration boundary; the per-packet paths never call
+it.  They compare integers instead: an address's value read from
+``IPv4Address._ip`` (what ``int()`` returns, without the call, ``==``
+or ``hash``) and a prefix's from :func:`prefix_ints`.  Packets, routes
+and sockets still hold :class:`IPv4Address` objects.
 """
 
 from __future__ import annotations

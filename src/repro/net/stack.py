@@ -132,7 +132,10 @@ class IPStack:
 
     def is_local_address(self, addr: AddressLike) -> bool:
         """Whether ``addr`` belongs to this node (incl. 127/8)."""
-        value = ip(addr)._ip  # type: ignore[attr-defined]
+        try:
+            value = addr._ip  # type: ignore[union-attr]
+        except AttributeError:  # an address given as a string
+            value = ip(addr)._ip  # type: ignore[attr-defined]
         if value >> 24 == 127:
             return True
         local = self._local_ints
@@ -207,10 +210,12 @@ class IPStack:
         silent, as they are for real UDP senders.
         """
         now = packet.sent_at = self.sim.now
+        # The source is UNSPECIFIED (0.0.0.0) until source selection.
+        unspecified = not packet.src._ip  # type: ignore[attr-defined]
         if self.is_local_address(packet.dst):
             # Local delivery short-circuits through loopback semantics.
             self.sent_packets += 1
-            if packet.src == UNSPECIFIED:
+            if unspecified:
                 packet.src = packet.dst
             self._local_deliver(packet, self.interfaces["lo"])
             return
@@ -218,17 +223,16 @@ class IPStack:
         if not self.netfilter.run_chain("mangle", HOOK_OUTPUT, packet, now=now):
             self.dropped_filter += 1
             return
-        src = packet.src if packet.src != UNSPECIFIED else None
         route = self.rpdb.lookup(
             packet.dst,
-            src=src,
+            src=None if unspecified else packet.src,
             mark=packet.mark,
             oif=packet.meta.get("bound_dev"),
         )
         if route is None:
             self.dropped_no_route += 1
             raise NoRouteError(f"{self.name}: no route to {packet.dst}")
-        if packet.src == UNSPECIFIED:
+        if unspecified:
             out_iface = self.interfaces.get(route.dev)
             if route.src is not None:
                 packet.src = route.src
@@ -322,12 +326,14 @@ class IPStack:
     def _match_socket(self, packet: Packet, iface: Interface) -> Optional[UDPSocket]:
         candidates = self._udp_ports.get(packet.dport, [])
         best: Optional[UDPSocket] = None
+        dst = packet.dst._ip  # type: ignore[attr-defined]
         for sock in candidates:
             if sock.bound_device is not None and sock.bound_device != iface.name:
                 continue
-            if sock.address == packet.dst:
+            bound = sock.address._ip  # type: ignore[attr-defined]
+            if bound == dst:
                 return sock
-            if sock.address == UNSPECIFIED and best is None:
+            if not bound and best is None:  # bound to UNSPECIFIED
                 best = sock
         return best
 

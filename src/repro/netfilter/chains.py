@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.netfilter.matches import Match
 from repro.netfilter.targets import Target, Verdict
+
+# Module-level alias: the quiet-hook test reads it once per packet.
+_ACCEPT = Verdict.ACCEPT
 
 #: Hook points in traversal order for locally generated traffic.
 HOOK_PREROUTING = "PREROUTING"
@@ -205,10 +208,10 @@ class Netfilter:
             self.metrics.counter("netfilter.dropped").inc()
             self.metrics.counter(self._drop_counter_name(packet.xid)).inc()
 
-    def _note_mark(self, packet: Packet, mark_before: int) -> None:
-        if self.metrics is not None and packet.mark != mark_before:
-            self.metrics.counter("netfilter.marked").inc()
-            self.metrics.counter(self._mark_counter_name(packet.xid)).inc()
+    def _note_mark(self, metrics: Any, packet: Packet, mark_before: int) -> None:
+        if packet.mark != mark_before:
+            metrics.counter("netfilter.marked").inc()
+            metrics.counter(self._mark_counter_name(packet.xid)).inc()
 
     def table(self, name: str) -> Table:
         """Look up a table (``filter`` or ``mangle``)."""
@@ -222,8 +225,18 @@ class Netfilter:
         out_iface: Optional[str] = None,
         now: Optional[float] = None,
     ) -> bool:
-        """Run every table registered at ``hook``; False means DROP."""
-        return self._run(self._hook_chains[hook], hook, packet, in_iface, out_iface, now)
+        """Run every table registered at ``hook``; False means DROP.
+
+        A quiet hook, where every chain is empty with an ACCEPT policy,
+        only counts the packet against each policy.
+        """
+        chains = self._hook_chains[hook]
+        for chain in chains:
+            if chain.rules or chain.policy is not _ACCEPT:
+                return self._run(chains, hook, packet, in_iface, out_iface, now)
+        for chain in chains:
+            chain.policy_packets += 1
+        return True
 
     def run_chain(
         self,
@@ -244,6 +257,9 @@ class Netfilter:
         chain = self.tables[table].chains.get(hook)
         if chain is None:
             return True
+        if not chain.rules and chain.policy is _ACCEPT:
+            chain.policy_packets += 1
+            return True
         return self._run((chain,), hook, packet, in_iface, out_iface, now)
 
     def _run(
@@ -259,7 +275,8 @@ class Netfilter:
 
         A chain with no rules costs one check: it counts the packet
         against its policy and returns it.  The :class:`PacketContext`
-        is built only when some chain has rules to look at it.
+        is built only when some chain has rules to look at it, and a
+        mark change is noted only when a metrics registry is bound.
         """
         ctx = None
         mark_before = packet.mark
@@ -274,5 +291,7 @@ class Netfilter:
             if verdict is Verdict.DROP:
                 self._note_drop(packet, hook)
                 return False
-        self._note_mark(packet, mark_before)
+        metrics = self.metrics
+        if metrics is not None:
+            self._note_mark(metrics, packet, mark_before)
         return True

@@ -1,7 +1,9 @@
 """Rule matches.
 
-Every match supports inversion (iptables ``!``).  The
-:class:`XidMatch` models the VNET+ extension PlanetLab added so
+Every match supports inversion (iptables ``!``): its one predicate,
+:meth:`Match.matches`, tests the condition and applies the inversion
+in the same expression.  Address prefixes are compared as integers.
+The :class:`XidMatch` models the VNET+ extension PlanetLab added so
 iptables can select packets by the VServer context (slice) that
 generated them — the feature §2.3 of the paper builds on.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.net.addressing import IPv4Network, NetworkLike, network
+from repro.net.addressing import IPv4Network, NetworkLike, network, prefix_ints
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netfilter.chains import PacketContext
@@ -20,15 +22,11 @@ class Match:
     """Base class: a predicate over (packet, hook context)."""
 
     def __init__(self, invert: bool = False):
-        self.invert = invert
-
-    def _test(self, ctx: "PacketContext") -> bool:
-        raise NotImplementedError
+        self.invert = bool(invert)
 
     def matches(self, ctx: "PacketContext") -> bool:
-        """Apply the predicate, honouring inversion."""
-        result = self._test(ctx)
-        return not result if self.invert else result
+        """Whether the packet passes: the condition ``!= self.invert``."""
+        raise NotImplementedError
 
     def _bang(self) -> str:
         return "! " if self.invert else ""
@@ -41,8 +39,9 @@ class ProtocolMatch(Match):
         super().__init__(invert)
         self.proto = proto
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.packet.proto == self.proto
+    def matches(self, ctx: "PacketContext") -> bool:
+        """Same protocol number, honouring inversion."""
+        return (ctx.packet.proto == self.proto) != self.invert
 
     def __repr__(self) -> str:
         return f"{self._bang()}-p {self.proto}"
@@ -54,9 +53,12 @@ class SourceMatch(Match):
     def __init__(self, prefix: NetworkLike, invert: bool = False):
         super().__init__(invert)
         self.prefix: IPv4Network = network(prefix)
+        self._net, self._mask, _ = prefix_ints(self.prefix)
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.packet.src in self.prefix
+    def matches(self, ctx: "PacketContext") -> bool:
+        """Source inside the prefix, honouring inversion."""
+        inside = ctx.packet.src._ip & self._mask == self._net  # type: ignore[attr-defined]
+        return inside != self.invert
 
     def __repr__(self) -> str:
         return f"{self._bang()}-s {self.prefix}"
@@ -68,9 +70,12 @@ class DestinationMatch(Match):
     def __init__(self, prefix: NetworkLike, invert: bool = False):
         super().__init__(invert)
         self.prefix: IPv4Network = network(prefix)
+        self._net, self._mask, _ = prefix_ints(self.prefix)
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.packet.dst in self.prefix
+    def matches(self, ctx: "PacketContext") -> bool:
+        """Destination inside the prefix, honouring inversion."""
+        inside = ctx.packet.dst._ip & self._mask == self._net  # type: ignore[attr-defined]
+        return inside != self.invert
 
     def __repr__(self) -> str:
         return f"{self._bang()}-d {self.prefix}"
@@ -83,8 +88,9 @@ class InInterfaceMatch(Match):
         super().__init__(invert)
         self.name = name
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.in_iface == self.name
+    def matches(self, ctx: "PacketContext") -> bool:
+        """Arrived on the interface, honouring inversion."""
+        return (ctx.in_iface == self.name) != self.invert
 
     def __repr__(self) -> str:
         return f"{self._bang()}-i {self.name}"
@@ -97,8 +103,9 @@ class OutInterfaceMatch(Match):
         super().__init__(invert)
         self.name = name
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.out_iface == self.name
+    def matches(self, ctx: "PacketContext") -> bool:
+        """Leaves by the interface, honouring inversion."""
+        return (ctx.out_iface == self.name) != self.invert
 
     def __repr__(self) -> str:
         return f"{self._bang()}-o {self.name}"
@@ -112,8 +119,9 @@ class MarkMatch(Match):
         self.mark = mark
         self.mask = mask
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return (ctx.packet.mark & self.mask) == (self.mark & self.mask)
+    def matches(self, ctx: "PacketContext") -> bool:
+        """Mark equal under the mask, honouring inversion."""
+        return ((ctx.packet.mark & self.mask) == (self.mark & self.mask)) != self.invert
 
     def __repr__(self) -> str:
         return f"-m mark {self._bang()}--mark {self.mark:#x}/{self.mask:#x}"
@@ -130,8 +138,9 @@ class XidMatch(Match):
         super().__init__(invert)
         self.xid = xid
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.packet.xid == self.xid
+    def matches(self, ctx: "PacketContext") -> bool:
+        """Sent by the context, honouring inversion."""
+        return (ctx.packet.xid == self.xid) != self.invert
 
     def __repr__(self) -> str:
         return f"-m xid {self._bang()}--xid {self.xid}"
@@ -144,8 +153,9 @@ class SportMatch(Match):
         super().__init__(invert)
         self.port = port
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.packet.sport == self.port
+    def matches(self, ctx: "PacketContext") -> bool:
+        """Same source port, honouring inversion."""
+        return (ctx.packet.sport == self.port) != self.invert
 
     def __repr__(self) -> str:
         return f"{self._bang()}--sport {self.port}"
@@ -158,8 +168,9 @@ class DportMatch(Match):
         super().__init__(invert)
         self.port = port
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.packet.dport == self.port
+    def matches(self, ctx: "PacketContext") -> bool:
+        """Same destination port, honouring inversion."""
+        return (ctx.packet.dport == self.port) != self.invert
 
     def __repr__(self) -> str:
         return f"{self._bang()}--dport {self.port}"

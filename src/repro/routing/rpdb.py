@@ -7,11 +7,17 @@ no matching route the walk continues with the next rule — that
 *continue-on-miss* behaviour is what lets the paper add a high-priority
 ``fwmark → umts`` rule without breaking ordinary traffic: unmarked
 packets fall through to the ``main`` table.
+
+Answers do not change between configuration writes, so the database
+keeps each one in a decision cache keyed by the lookup's integer
+destination and source, mark and interfaces.  Every write that can
+change an answer (a route or rule change, a table created or dropped)
+empties it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.addressing import (
     AddressLike,
@@ -31,6 +37,12 @@ DEFAULT_TABLE = "default"
 PREF_LOCAL = 0
 PREF_MAIN = 32766
 PREF_DEFAULT = 32767
+
+#: A decision-cache key: ``(dst int, src int or None, mark, iif, oif)``.
+DecisionKey = Tuple[int, Optional[int], int, Optional[str], Optional[str]]
+
+#: Marks a key the decision cache has no answer for ("no route" is ``None``).
+_UNDECIDED = object()
 
 
 class Rule:
@@ -105,6 +117,9 @@ class RoutingPolicyDatabase:
     def __init__(self) -> None:
         self._tables: Dict[str, RoutingTable] = {}
         self._rules: List[Rule] = []
+        #: the decision cache: one answer per key seen since the last
+        #: write, shared with every table so their writes empty it too.
+        self._decisions: Dict[DecisionKey, Optional[Route]] = {}
         self.table(MAIN_TABLE)
         self.table(DEFAULT_TABLE)
         self.add_rule(Rule(PREF_MAIN, MAIN_TABLE))
@@ -115,7 +130,8 @@ class RoutingPolicyDatabase:
     def table(self, name: str) -> RoutingTable:
         """Return (creating if needed) the table called ``name``."""
         if name not in self._tables:
-            self._tables[name] = RoutingTable(name)
+            self._tables[name] = RoutingTable(name, self._decisions)
+            self._decisions.clear()
         return self._tables[name]
 
     def has_table(self, name: str) -> bool:
@@ -127,6 +143,7 @@ class RoutingPolicyDatabase:
         if name in (MAIN_TABLE, DEFAULT_TABLE):
             raise ValueError(f"refusing to drop built-in table {name!r}")
         self._tables.pop(name, None)
+        self._decisions.clear()
 
     @property
     def main(self) -> RoutingTable:
@@ -145,6 +162,7 @@ class RoutingPolicyDatabase:
             raise ValueError(f"rule already exists: {rule!r}")
         self._rules.append(rule)
         self._rules.sort(key=lambda r: r.pref)
+        self._decisions.clear()
 
     def delete_rule(
         self,
@@ -170,6 +188,7 @@ class RoutingPolicyDatabase:
         if not removed:
             raise ValueError("no matching rule")
         self._rules = survivors
+        self._decisions.clear()
         return removed
 
     def rules(self) -> List[Rule]:
@@ -192,17 +211,27 @@ class RoutingPolicyDatabase:
         an LPM lookup in its table and returns the first hit.  A miss
         continues with the next rule (Linux's behaviour for a table
         with no matching route).  ``oif`` constrains the lookup to one
-        output device (SO_BINDTODEVICE).
+        output device (SO_BINDTODEVICE).  The walk runs once per key
+        between writes; the decision cache answers the repeats.
         """
-        destination = ip(dst)
-        source = ip(src) if src is not None else None
+        try:
+            source = None if src is None else src._ip  # type: ignore[union-attr]
+            key = (dst._ip, source, mark, iif, oif)  # type: ignore[union-attr]
+        except AttributeError:  # an address given as a string
+            return self.lookup(ip(dst), None if src is None else ip(src), mark, iif, oif)
+        decisions = self._decisions
+        cached = decisions.get(key, _UNDECIDED)
+        if cached is not _UNDECIDED:
+            return cached  # type: ignore[return-value]
+        route: Optional[Route] = None
         for rule in self._rules:
-            if not rule.matches(destination, source, mark, iif):
+            if not rule.matches(dst, src, mark, iif):  # type: ignore[arg-type]
                 continue
             table = self._tables.get(rule.table)
             if table is None:
                 continue
-            route = table.lookup(destination, oif=oif)
+            route = table.lookup(dst, oif=oif)
             if route is not None:
-                return route
-        return None
+                break
+        decisions[key] = route
+        return route

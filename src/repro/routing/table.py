@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.net.addressing import (
     AddressLike,
@@ -66,11 +66,17 @@ class Route:
 
 
 class RoutingTable:
-    """A named list of routes with longest-prefix-match lookup."""
+    """A named list of routes with longest-prefix-match lookup.
 
-    def __init__(self, name: str):
+    ``decisions`` is the owning RPDB's decision cache: every write to
+    the table empties it, since a route change can change any answer.
+    A table built on its own gets a private dict nobody reads.
+    """
+
+    def __init__(self, name: str, decisions: Optional[Dict[Any, Any]] = None):
         self.name = name
         self._routes: List[Route] = []
+        self._decisions: Dict[Any, Any] = {} if decisions is None else decisions
 
     def __len__(self) -> int:
         return len(self._routes)
@@ -91,6 +97,7 @@ class RoutingTable:
             for r in existing:
                 self._routes.remove(r)
         self._routes.append(route)
+        self._decisions.clear()
 
     def delete(
         self,
@@ -115,15 +122,18 @@ class RoutingTable:
         if not removed:
             raise ValueError(f"no such route: {prefix}")
         self._routes = survivors
+        self._decisions.clear()
 
     def flush(self) -> None:
         """Remove every route."""
         self._routes.clear()
+        self._decisions.clear()
 
     def remove_dev(self, dev: str) -> int:
         """Remove all routes through ``dev`` (interface went away)."""
         before = len(self._routes)
         self._routes = [r for r in self._routes if r.dev != dev]
+        self._decisions.clear()
         return before - len(self._routes)
 
     def lookup(self, dst: AddressLike, oif: Optional[str] = None) -> Optional[Route]:

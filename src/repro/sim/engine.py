@@ -96,8 +96,10 @@ class Event:
 class Simulator:
     """Single-threaded discrete-event simulator.
 
-    The clock starts at ``0.0`` and only moves forward, driven by the
-    timestamps of dispatched events.  Time is measured in **seconds**
+    The clock is the plain attribute :attr:`now`.  It starts at ``0.0``
+    and only moves forward, driven by the timestamps of dispatched
+    events.  Components read it freely; only the engine's dispatch walk
+    and :meth:`run` write it.  Time is measured in **seconds**
     throughout the code base.
 
     Example::
@@ -108,7 +110,8 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: current simulation time in seconds (written only by the engine).
+        self.now = 0.0
         #: heap of pending timestamps (bare floats; may hold a
         #: duplicate when a bucket is re-created at the active instant).
         self._times: List[float] = []
@@ -145,11 +148,6 @@ class Simulator:
         self._prof_src: Optional[Any] = None
         self._prof_intern: Dict[Any, int] = {}
 
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     # -- scheduling --------------------------------------------------------
     #
     # The bucket-insert sequence is spelled out inline in all three
@@ -165,7 +163,7 @@ class Simulator:
         """
         if not delay >= 0:  # rejects negatives and NaN in one comparison
             raise ScheduleInPastError(f"negative delay {delay!r}")
-        when = self._now + delay
+        when = self.now + delay
         bucket = self._buckets.get(when)
         if bucket is None:
             bucket = [callback, args]
@@ -189,7 +187,7 @@ class Simulator:
         """
         if not delay >= 0:
             raise ScheduleInPastError(f"negative delay {delay!r}")
-        when = self._now + delay
+        when = self.now + delay
         bucket = self._buckets.get(when)
         if bucket is None:
             self._buckets[when] = [callback, args]
@@ -210,11 +208,11 @@ class Simulator:
         clock — or NaN, which would silently corrupt the queue
         ordering — raises :class:`ScheduleInPastError`.
         """
-        if not time >= self._now:
+        if not time >= self.now:
             if math.isnan(time):
                 raise ScheduleInPastError(f"cannot schedule at NaN time {time!r}")
             raise ScheduleInPastError(
-                f"cannot schedule at {time!r}; clock already at {self._now!r}"
+                f"cannot schedule at {time!r}; clock already at {self.now!r}"
             )
         bucket = self._buckets.get(time)
         if bucket is None:
@@ -272,7 +270,7 @@ class Simulator:
                     intern[cb] = tid
             if tid is None:
                 tid = profile.register_type(cb)
-            profile.record_typed(tid, self._now, elapsed)
+            profile.record_typed(tid, self.now, elapsed)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run the event loop.
@@ -286,9 +284,9 @@ class Simulator:
             raise ScheduleInPastError(f"cannot run until NaN time {until!r}")
         self._stopped = False
         self._walk(math.inf if until is None else until)
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def step(self) -> bool:
         """Dispatch the next event.  Returns ``False`` if none remained.
@@ -341,7 +339,7 @@ class Simulator:
                 self._live -= 1
                 # The clock moves only when something actually
                 # fires: an all-cancelled bucket must not advance it.
-                self._now = when
+                self.now = when
                 if plain:
                     cb(*args)
                 else:

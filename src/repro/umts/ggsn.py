@@ -37,9 +37,10 @@ class EstablishedFlowMatch(Match):
         super().__init__(invert)
         self.ggsn = ggsn
 
-    def _test(self, ctx: PacketContext) -> bool:
+    def matches(self, ctx: PacketContext) -> bool:
+        """Inbound on a recent mobile-initiated flow, honouring inversion."""
         now = ctx.now if ctx.now is not None else 0.0
-        return self.ggsn.is_established(ctx.packet.src, ctx.packet.dst, now)
+        return self.ggsn.is_established(ctx.packet.src, ctx.packet.dst, now) != self.invert
 
     def __repr__(self) -> str:
         return f"-m conntrack {self._bang()}--ctstate ESTABLISHED"
@@ -64,7 +65,9 @@ class Ggsn:
         self.pool = AddressPool(pool_prefix, reserved=[internal_address])
         self.block_inbound = block_inbound
         self.conntrack_ttl = conntrack_ttl
-        self._flows: Dict[Tuple[IPv4Address, IPv4Address], float] = {}
+        #: ``(mobile, remote)`` address integers -> time of the last
+        #: mobile-to-remote packet.
+        self._flows: Dict[Tuple[int, int], float] = {}
         self._drop_rule = None
         if block_inbound:
             # The filter sits on the Gi (Internet-facing) interface:
@@ -95,15 +98,16 @@ class Ggsn:
 
     def record_flow(self, mobile: IPv4Address, remote: IPv4Address, now: float) -> None:
         """Note that the mobile sent to ``remote`` (refreshes the entry)."""
-        self._flows[(mobile, remote)] = now
+        self._flows[(mobile._ip, remote._ip)] = now  # type: ignore[attr-defined]
 
     def is_established(self, remote: IPv4Address, mobile: IPv4Address, now: float) -> bool:
         """Whether inbound remote→mobile matches a recent outbound flow."""
-        last = self._flows.get((mobile, remote))
+        key = (mobile._ip, remote._ip)  # type: ignore[attr-defined]
+        last = self._flows.get(key)
         if last is None:
             return False
         if now - last > self.conntrack_ttl:
-            del self._flows[(mobile, remote)]
+            del self._flows[key]
             return False
         return True
 

@@ -22,10 +22,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.isolation import UMTS_TABLE
 from repro.core.supervisor import ConnectionSupervisor
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import ListSink
 from repro.obs.trace import TraceBus, TraceEvent
 from repro.sim.process import spawn
 from repro.testbed.scenarios import DEFAULT_SLICE_NAME, OneLabScenario
@@ -169,16 +169,6 @@ def scenario_names() -> List[str]:
     return [scenario.name for scenario in BUILTIN_SCENARIOS]
 
 
-class _Collector:
-    """A trace sink buffering every event for the digest."""
-
-    def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-
-    def on_event(self, event: TraceEvent) -> None:
-        self.events.append(event)
-
-
 def trace_digest(events: Sequence[TraceEvent]) -> str:
     """SHA-256 over the trace, wall-clock fields excluded.
 
@@ -198,16 +188,73 @@ def trace_digest(events: Sequence[TraceEvent]) -> str:
     return hasher.hexdigest()
 
 
-def clean_state(testbed: OneLabScenario) -> bool:
-    """The invariant every scenario must end on: nothing left behind."""
-    backend = testbed.napoli.umts_backend
-    stack = testbed.napoli.stack
-    return (
-        not backend.lock.locked
-        and not backend.isolation.active
-        and "ppp0" not in stack.interfaces
-        and stack.ip.route_list(UMTS_TABLE) == []
-    )
+class Session:
+    """The §2.3 session every campaign drives through vsys.
+
+    Construction starts buffering the testbed's trace (and binds an
+    optional metrics registry, observation only), so it goes before
+    any setup whose events belong in the digest.  :meth:`run` drives
+    ``umts start``, the hold, ``umts status`` and ``umts stop`` to the
+    deadline and classifies the outcome.
+    """
+
+    def __init__(self, testbed: OneLabScenario, metrics: Optional[MetricsRegistry] = None):
+        self.testbed = testbed
+        sim = testbed.sim
+        sim.trace = TraceBus(sim)
+        self.trace = sim.trace.attach(ListSink())
+        if metrics is not None:
+            sim.metrics = metrics
+
+    def run(self, name: str, hold: float, deadline: float) -> Dict[str, Any]:
+        """Drive the session and return the report fields every runner shares."""
+        testbed = self.testbed
+        sim = testbed.sim
+        umts = testbed.umts_command()
+        replies: Dict[str, Any] = {
+            "start": None, "status": None, "stop": None, "finished": False,
+        }
+
+        def driver():
+            replies["start"] = yield umts.start()
+            yield hold
+            replies["status"] = yield umts.status()
+            if testbed.napoli.connection.is_up:
+                replies["stop"] = yield umts.stop()
+            replies["finished"] = True
+
+        spawn(sim, driver(), name=name)
+        sim.run(until=deadline)
+
+        start, status, stop = replies["start"], replies["status"], replies["stop"]
+        hung = not replies["finished"]
+        clean = not hung and testbed.napoli.released()
+        if hung:
+            outcome = HUNG
+        elif (
+            start.code == 0
+            and status.lines[:1] == ["state: up"]
+            and stop is not None
+            and stop.code == 0
+            and clean
+        ):
+            outcome = RECOVERED
+        elif clean:
+            outcome = DEGRADED
+        else:
+            outcome = DIRTY
+        events = self.trace.events
+        return {
+            "outcome": outcome,
+            "hung": hung,
+            "clean": clean,
+            "start_code": None if start is None else start.code,
+            "status_lines": None if status is None else list(status.lines),
+            "stop_code": None if stop is None else stop.code,
+            "events": len(events),
+            "sim_time": round(sim.now, 6),
+            "digest": trace_digest(events),
+        }
 
 
 def run_scenario(
@@ -222,13 +269,8 @@ def run_scenario(
     fresh registry per job and ship its snapshot back for merging.
     """
     testbed = OneLabScenario(seed=scenario.seed)
+    session = Session(testbed, metrics)
     sim = testbed.sim
-    bus = TraceBus(sim)
-    collector = _Collector()
-    bus.attach(collector)
-    sim.trace = bus
-    if metrics is not None:
-        sim.metrics = metrics
     plan = FaultPlan.from_spec(*scenario.specs)
     registry = plan.install(sim, rng=testbed.streams.stream("faults"))
     supervisor: Optional[ConnectionSupervisor] = None
@@ -240,45 +282,9 @@ def run_scenario(
             restart=lambda: backend.handler(DEFAULT_SLICE_NAME, ["start"]),
             rng=testbed.streams.stream("supervisor"),
         )
-    umts = testbed.umts_command()
-    state: Dict[str, Any] = {
-        "start": None,
-        "status": None,
-        "stop": None,
-        "finished": False,
-    }
-
-    def driver():
-        state["start"] = yield umts.start()
-        yield scenario.hold
-        state["status"] = yield umts.status()
-        if testbed.napoli.connection.is_up:
-            state["stop"] = yield umts.stop()
-        state["finished"] = True
-
-    spawn(sim, driver(), name=f"chaos:{scenario.name}")
-    sim.run(until=scenario.deadline)
+    report = session.run(f"chaos:{scenario.name}", scenario.hold, scenario.deadline)
     if supervisor is not None:
         supervisor.stop()
-
-    hung = not state["finished"]
-    clean = not hung and clean_state(testbed)
-    start = state["start"]
-    status = state["status"]
-    stop = state["stop"]
-    start_ok = start is not None and start.code == 0
-    status_up = (
-        status is not None and bool(status.lines) and status.lines[0] == "state: up"
-    )
-    stop_ok = stop is not None and stop.code == 0
-    if hung:
-        outcome = HUNG
-    elif start_ok and status_up and stop_ok and clean:
-        outcome = RECOVERED
-    elif clean:
-        outcome = DEGRADED
-    else:
-        outcome = DIRTY
     return {
         "scenario": scenario.name,
         "description": scenario.description,
@@ -286,19 +292,10 @@ def run_scenario(
         "seed": scenario.seed,
         "supervised": scenario.supervise,
         "expected": scenario.expected,
-        "outcome": outcome,
-        "ok": outcome == scenario.expected,
-        "hung": hung,
-        "clean": clean,
-        "start_code": None if start is None else start.code,
-        "status_lines": None if status is None else list(status.lines),
-        "stop_code": None if stop is None else stop.code,
+        "ok": report["outcome"] == scenario.expected,
         "fired": dict(registry.fired),
         "faults_injected": sum(registry.fired.values()),
         "heals": 0 if supervisor is None else supervisor.heals,
         "retries": testbed.napoli.connection.retries,
-        "events": len(collector.events),
-        "sim_time": round(sim.now, 6),
-        "digest": trace_digest(collector.events),
+        **report,
     }
-

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.core.frontend import UmtsCommand
-from repro.core.isolation import UMTS_TABLE
 from repro.core.retry import RetryPolicy
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
+from repro.scenarios.instantiate import GrammarEvents
 from repro.sim.process import Store, spawn
 from repro.testbed.planetlab import PlanetLabNode
 from repro.traffic.decoder import ItgDecoder
@@ -56,17 +57,11 @@ def _flow_spec(spec: FleetSpec, dport: int) -> FlowSpec:
 
 def node_clean(node: PlanetLabNode) -> bool:
     """The PR-4 invariant, per node: all live, or all released."""
-    backend = node.umts_backend
-    if backend is None or node.connection is None:
+    if node.umts_backend is None or node.connection is None:
         return True
     if node.connection.is_up:
-        return backend.lock.locked
-    return (
-        not backend.lock.locked
-        and not backend.isolation.active
-        and "ppp0" not in node.stack.interfaces
-        and node.stack.ip.route_list(UMTS_TABLE) == []
-    )
+        return node.umts_backend.lock.locked
+    return node.released()
 
 
 class GroupRun:
@@ -106,31 +101,20 @@ class GroupRun:
         held by a later wave at that moment), keeping the schedule a
         pure function of the spec.
         """
-        sim = self.group.sim
         for node in self.group.nodes:
             scenario = self.group.node_scenarios.get(node.name)
-            if scenario is None:
-                continue
-            for at, target in scenario.ladder.moves:
-                sim.post(at, self._apply_move, node, target)
-            for at, csq, cell in self.group.node_handover_cells.get(node.name, ()):
-                sim.post(at, self._apply_handover, node, cell, csq)
+            if scenario is not None:
+                GrammarEvents(
+                    self.group.sim,
+                    scenario,
+                    node.modem,
+                    self.group.node_handover_cells.get(node.name, ()),
+                    partial(self._live_rab, node),
+                )
 
-    def _apply_move(self, node: PlanetLabNode, target: int) -> None:
+    def _live_rab(self, node: PlanetLabNode) -> Any:
         call = self.group.call_for(node)
-        if call is not None:
-            call.rab.renegotiate(target)
-
-    def _apply_handover(self, node: PlanetLabNode, cell: Any, csq: int) -> None:
-        from repro.scenarios import signal_grade_cap
-
-        node.modem.handover_to(cell)
-        call = self.group.call_for(node)
-        if call is not None:
-            scenario = self.group.node_scenarios[node.name]
-            call.rab.renegotiate(
-                signal_grade_cap(csq, len(scenario.ladder.rats))
-            )
+        return None if call is None else call.rab
 
     def _make_on_kill(self, node: PlanetLabNode) -> Any:
         def on_kill(reason: str) -> None:

@@ -66,10 +66,6 @@ def _fcs16(data: bytes) -> int:
     return fcs ^ 0xFFFF
 
 
-def _needs_escape(byte: int) -> bool:
-    return byte in (FLAG, ESCAPE) or byte < 0x20
-
-
 def hdlc_encode(payload: bytes) -> bytes:
     """Encode a payload into one flagged, escaped, FCS-protected frame."""
     fcs = _fcs16(payload)

@@ -11,8 +11,9 @@ packets fall through to the ``main`` table.
 Answers do not change between configuration writes, so the database
 keeps each one in a decision cache keyed by the lookup's integer
 destination and source, mark and interfaces.  Every write that can
-change an answer (a route or rule change, a table created or dropped)
-empties it.
+change an answer (a route or rule change, a table dropped) empties it.
+Creating a table cannot: an empty table falls through like a missing
+one.
 """
 
 from __future__ import annotations
@@ -131,7 +132,6 @@ class RoutingPolicyDatabase:
         """Return (creating if needed) the table called ``name``."""
         if name not in self._tables:
             self._tables[name] = RoutingTable(name, self._decisions)
-            self._decisions.clear()
         return self._tables[name]
 
     def has_table(self, name: str) -> bool:

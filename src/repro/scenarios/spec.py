@@ -11,8 +11,8 @@ configs are the models):
 - :class:`HandoverSpec` — inter-cell handovers, each landing on a cell
   of a given signal strength (the driver renegotiates the bearer to
   the grade the new signal supports);
-- :class:`RoamingSpec` — whether the card camps on a visited operator
-  drawn from :class:`~repro.umts.pool.OperatorPool` instead of home;
+- :class:`RoamingSpec` — whether the card camps on a visited operator,
+  built next to the home one, instead of home;
 - :class:`RemoteSimSpec` — MobileAtlas-style remote-SIM tunnelling:
   AT-command latency and loss injected at the modem serial layer.
 

@@ -121,7 +121,9 @@ def run_characterization(
             added = umts.add_destination_blocking(scenario.inria_addr)
             if not added.ok:
                 raise ExperimentError(f"umts add failed: {added.text}")
-        rab_history = scenario.operator.calls[0].rab.grade_history
+        # The operator serving the card: a visited one when it roams.
+        serving = scenario.napoli.modem.network.operator
+        rab_history = serving.calls[0].rab.grade_history
     if direction == DIRECTION_UPLINK:
         receiver = ItgReceiver(sim, scenario.inria_sliver.socket(), port=spec.dport)
         sender_socket = scenario.napoli_sliver.socket()

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Type
 from repro.core.backend import SCRIPT_NAME, UmtsBackend
 from repro.core.connection import UmtsConnectionManager
 from repro.core.errors import HardwareMissingError
-from repro.core.isolation import IsolationManager
+from repro.core.isolation import UMTS_TABLE, IsolationManager
 from repro.modem.device import Modem3G
 from repro.net.interface import EthernetInterface
 from repro.net.stack import IPStack
@@ -160,6 +160,20 @@ class PlanetLabNode:
         if self.umts_backend is None:
             raise HardwareMissingError(f"{self.name} has no UMTS card installed")
         self.vsys.allow(SCRIPT_NAME, slice_name)
+
+    def released(self) -> bool:
+        """Whether the UMTS session left nothing behind on this node.
+
+        The lock is free, no isolation is active, there is no ``ppp0``
+        and the UMTS routing table is empty.
+        """
+        backend = self.umts_backend
+        return (
+            not backend.lock.locked
+            and not backend.isolation.active
+            and "ppp0" not in self.stack.interfaces
+            and self.stack.ip.route_list(UMTS_TABLE) == []
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         umts = "umts" if self.umts_backend is not None else "no-umts"

@@ -11,8 +11,7 @@ synthetic equivalent calibrated to their measurements.  The pieces:
   GGSN-side pppd;
 - :mod:`repro.umts.ggsn` — the gateway, address pool and the ingress
   firewall that makes mobiles unreachable from outside;
-- :mod:`repro.umts.pool` — the GGSN address pool and the operator pool
-  (deterministic PLMN selection for the roaming scenarios);
+- :mod:`repro.umts.pool` — the GGSN's PDP address pool;
 - :mod:`repro.umts.operator` — the bundle, with profiles for the
   paper's two networks (commercial, Alcatel-Lucent private micro-cell).
 """
@@ -27,12 +26,7 @@ from repro.umts.operator import (
     commercial_operator,
     private_microcell,
 )
-from repro.umts.pool import (
-    AddressPool,
-    NoOperatorError,
-    OperatorPool,
-    PoolExhaustedError,
-)
+from repro.umts.pool import AddressPool, PoolExhaustedError
 from repro.umts.rab import (
     DEFAULT_UPLINK_GRADES,
     RENEG_IDLE,
@@ -47,8 +41,6 @@ __all__ = [
     "DataCall",
     "EstablishedFlowMatch",
     "Ggsn",
-    "NoOperatorError",
-    "OperatorPool",
     "PoolExhaustedError",
     "RENEG_IDLE",
     "RENEG_PENDING",

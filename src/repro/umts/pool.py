@@ -1,30 +1,19 @@
-"""Address and operator pools.
+"""The GGSN's PDP address pool.
 
-Two resource pools live here:
-
-- :class:`AddressPool` — the GGSN's PDP address pool, handing out
-  mobile addresses in deterministic host order with FIFO reuse and a
-  typed :class:`PoolExhaustedError` when it drains;
-- :class:`OperatorPool` — the set of operators a card can see, with
-  deterministic PLMN selection: the home operator is always preferred
-  and roaming candidates are tried in registration order (the SIM's
-  preferred-PLMN list).  The scenario grammar's roaming dimension
-  draws its visited network from here.
+:class:`AddressPool` hands out mobile addresses in deterministic host
+order with FIFO reuse and raises a typed :class:`PoolExhaustedError`
+when it drains.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Set
+from typing import List, Set
 
 from repro.net.addressing import IPv4Address, IPv4Network, NetworkLike, network
 
 
 class PoolExhaustedError(Exception):
     """No free addresses remain in the pool."""
-
-
-class NoOperatorError(Exception):
-    """No registered operator matches the requested selection."""
 
 
 class AddressPool:
@@ -75,70 +64,3 @@ class AddressPool:
 
     def __contains__(self, addr) -> bool:
         return IPv4Address(str(addr)) in self.prefix
-
-
-class OperatorPool:
-    """The operators visible to one card, in deterministic order.
-
-    Selection never depends on hashing, insertion races, or RNG draws:
-    scenario runs that roam must stay byte-identical per seed, so the
-    pool is a plain ordered list with the home network pinned first.
-    """
-
-    def __init__(self) -> None:
-        self._home: Optional[Any] = None
-        self._visited: List[Any] = []
-
-    @property
-    def home(self) -> Optional[Any]:
-        """The home operator, if one was registered."""
-        return self._home
-
-    def register(self, operator: Any, home: bool = False) -> Any:
-        """Add an operator to the pool; at most one may be home."""
-        if home:
-            if self._home is not None:
-                raise ValueError(
-                    f"home operator already registered ({self._home!r})"
-                )
-            self._home = operator
-        elif operator not in self._visited:
-            self._visited.append(operator)
-        return operator
-
-    def operators(self) -> List[Any]:
-        """Every registered operator, home first then visit order."""
-        ordered: List[Any] = []
-        if self._home is not None:
-            ordered.append(self._home)
-        ordered.extend(self._visited)
-        return ordered
-
-    def select(self, apn: Optional[str] = None, exclude: Sequence[Any] = ()) -> Any:
-        """The first operator serving ``apn`` (any APN when ``None``).
-
-        Raises :class:`NoOperatorError` when nothing matches — the
-        typed signal scenario validation and the roaming driver rely
-        on, mirroring :class:`PoolExhaustedError` for addresses.
-        """
-        for operator in self.operators():
-            if operator in exclude:
-                continue
-            if apn is not None and operator.apn != apn:
-                continue
-            return operator
-        raise NoOperatorError(
-            f"no operator serves apn={apn!r} "
-            f"(registered: {len(self.operators())}, excluded: {len(tuple(exclude))})"
-        )
-
-    def roaming_partner(self, apn: Optional[str] = None) -> Any:
-        """The preferred *visited* network for ``apn`` (home excluded)."""
-        exclude = (self._home,) if self._home is not None else ()
-        return self.select(apn=apn, exclude=exclude)
-
-    def __len__(self) -> int:
-        return len(self.operators())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<OperatorPool home={self._home!r} visited={len(self._visited)}>"

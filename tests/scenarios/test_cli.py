@@ -48,8 +48,10 @@ def test_sweep_scenario_changes_the_digest(capsys):
         return line.split()[1]
 
     plain = digest([])
-    shaped = digest(["--scenario", "collapse/recover/home/local"])
-    assert plain != shaped
+    # The roaming point reads its bearer history from the visited
+    # operator, not the home one.
+    for point in ("collapse/recover/home/local", "climb/fade/visit/tunnel"):
+        assert digest(["--scenario", point]) != plain
 
 
 def test_sweep_bad_scenario_exits_2(capsys):

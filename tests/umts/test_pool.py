@@ -1,16 +1,11 @@
-"""Unit tests for the PDP address pool and the operator pool."""
+"""Unit tests for the PDP address pool."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.addressing import ip
-from repro.umts.pool import (
-    AddressPool,
-    NoOperatorError,
-    OperatorPool,
-    PoolExhaustedError,
-)
+from repro.umts.pool import AddressPool, PoolExhaustedError
 
 
 def test_allocates_distinct_addresses():
@@ -98,59 +93,3 @@ def test_exhausted_pool_recovers_after_release():
         pool.allocate()
     pool.release(held[2])
     assert pool.allocate() == held[2]
-
-
-# -- OperatorPool ----------------------------------------------------------
-
-
-class FakeOperator:
-    def __init__(self, name, apn):
-        self.name = name
-        self.apn = apn
-
-    def __repr__(self):
-        return f"<FakeOperator {self.name}>"
-
-
-def make_pool():
-    pool = OperatorPool()
-    home = pool.register(FakeOperator("TIM", "web.tim.it"), home=True)
-    visited_a = pool.register(FakeOperator("FR Mobile", "web.tim.it"))
-    visited_b = pool.register(FakeOperator("DE Mobile", "web.de.example"))
-    return pool, home, visited_a, visited_b
-
-
-def test_operator_pool_orders_home_first_then_registration_order():
-    pool, home, visited_a, visited_b = make_pool()
-    assert pool.operators() == [home, visited_a, visited_b]
-    assert pool.home is home
-    assert len(pool) == 3
-
-
-def test_operator_selection_is_deterministic():
-    pool, home, visited_a, _ = make_pool()
-    # Home wins outright; the roaming partner is the first *visited*
-    # operator serving the APN, in registration order — never a draw.
-    assert pool.select(apn="web.tim.it") is home
-    assert pool.roaming_partner(apn="web.tim.it") is visited_a
-    assert pool.select(apn="web.tim.it", exclude=(home,)) is visited_a
-
-
-def test_operator_pool_raises_typed_error_when_drained():
-    pool, home, visited_a, visited_b = make_pool()
-    with pytest.raises(NoOperatorError):
-        pool.select(apn="web.nowhere.example")
-    with pytest.raises(NoOperatorError):
-        pool.select(exclude=(home, visited_a, visited_b))
-    with pytest.raises(NoOperatorError):
-        pool.roaming_partner(apn="web.de.example2")
-    with pytest.raises(NoOperatorError):
-        OperatorPool().select()
-
-
-def test_single_home_operator_enforced_and_visited_deduped():
-    pool, home, visited_a, _ = make_pool()
-    with pytest.raises(ValueError):
-        pool.register(FakeOperator("other", "apn"), home=True)
-    pool.register(visited_a)  # re-registering is a no-op, not a dup
-    assert len(pool) == 3

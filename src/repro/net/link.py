@@ -5,10 +5,13 @@ front of a serializing transmitter, followed by a propagation delay
 with optional jitter and random loss.  A :class:`Link` wires two
 interfaces together with a channel each way.
 
-The channel's ``rate_bps`` is read at the start of every packet
-transmission, so a rate change (the UMTS RAB upgrade) takes effect on
-the next packet boundary — exactly how a real dedicated channel
-reconfiguration behaves at this level of abstraction.
+Each hop costs one engine event: a packet that finds the transmitter
+idle knows when it will leave it, so it starts at once and posts only
+its delivery.  ``rate_bps`` is read when each transmission starts, so a
+rate change (the UMTS RAB upgrade) takes effect on the next packet
+boundary.  Loss and jitter are drawn then too, so two channels sharing
+one random stream (both directions of a LAN tail) draw in
+transmission-start order, even when the later start finishes first.
 """
 
 from __future__ import annotations
@@ -27,6 +30,14 @@ from repro.sim.rng import Distribution
 class Channel:
     """One direction of a link.
 
+    A send to an idle transmitter (empty queue, clock at or past
+    ``_free_at``) starts at once; a send to a busy one joins the queue,
+    and the first to queue posts :meth:`_transmission_done` at
+    ``_free_at``: the transmitter frees up, starts the head of the queue
+    and re-posts itself while packets wait.  :meth:`_schedule_delivery`
+    starts one packet: departure time, ``tx_packets``/``tx_bytes``
+    (counted at transmission start), loss, jitter and the delivery post.
+
     Parameters
     ----------
     sim:
@@ -41,8 +52,7 @@ class Channel:
         DropTail queue capacity in bytes (packets whose arrival would
         exceed it are dropped).
     loss_rate:
-        independent per-packet loss probability applied after
-        serialization (models residual link-layer loss).
+        independent per-packet loss probability (residual link loss).
     jitter:
         optional distribution of extra per-packet delay, sampled per
         packet; deliveries are serialized so the channel never reorders.
@@ -87,7 +97,7 @@ class Channel:
         self._length_of = length_of if length_of is not None else attrgetter("length")
         self._queue: Deque[Packet] = deque()
         self._queued_bytes = 0
-        self._busy = False
+        self._free_at = 0.0  # when the transmitter frees up
         self._last_delivery_time = 0.0
         self.tx_packets = 0
         self.tx_bytes = 0
@@ -105,47 +115,48 @@ class Channel:
         return len(self._queue)
 
     def send(self, packet: Packet) -> bool:
-        """Enqueue a packet; returns ``False`` if the queue rejected it."""
+        """Transmit or enqueue a packet; ``False`` if the queue rejected it."""
         size = self._length_of(packet)
-        if self._queued_bytes + size > self.queue_bytes and self._busy:
+        queue = self._queue
+        if not queue and self._sim.now >= self._free_at:
+            self._schedule_delivery(packet, size)
+            return True
+        if self._queued_bytes + size > self.queue_bytes:
             self.dropped_queue += 1
             return False
-        if self._busy:
-            self._queue.append(packet)
-            self._queued_bytes += size
-        else:
-            self._begin_transmission(packet)
+        if not queue:
+            self._sim.post_at(self._free_at, self._transmission_done)
+        queue.append(packet)
+        self._queued_bytes += size
         return True
 
-    def _begin_transmission(self, packet: Packet) -> None:
-        self._busy = True
-        serialization = self._length_of(packet) * 8.0 / self.rate_bps
-        self._sim.post(serialization, self._transmission_done, packet)
-
-    def _transmission_done(self, packet: Packet) -> None:
-        self.tx_packets += 1
-        self.tx_bytes += self._length_of(packet)
-        self._schedule_delivery(packet)
+    def _transmission_done(self) -> None:
+        """The transmitter frees up: start the head of the queue."""
+        packet = self._queue.popleft()
+        size = self._length_of(packet)
+        self._queued_bytes -= size
+        self._schedule_delivery(packet, size)
         if self._queue:
-            next_packet = self._queue.popleft()
-            self._queued_bytes -= self._length_of(next_packet)
-            self._begin_transmission(next_packet)
-        else:
-            self._busy = False
+            self._sim.post_at(self._free_at, self._transmission_done)
 
-    def _schedule_delivery(self, packet: Packet) -> None:
+    def _schedule_delivery(self, packet: Packet, size: int) -> None:
+        """Start transmitting ``packet`` now and post its delivery."""
+        sim = self._sim
+        done = self._free_at = sim.now + size * 8.0 / self.rate_bps
+        self.tx_packets += 1
+        self.tx_bytes += size
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
             self.dropped_loss += 1
             return
         delay = self.delay
         if self.jitter is not None:
             delay += max(0.0, self.jitter.sample(self._rng))
-        arrival = self._sim.now + delay
+        arrival = done + delay
         # FIFO channels never reorder: clamp to the last delivery time.
         if arrival < self._last_delivery_time:
             arrival = self._last_delivery_time
         self._last_delivery_time = arrival
-        self._sim.post_at(arrival, self._deliver, packet)
+        sim.post_at(arrival, self._deliver, packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -181,25 +192,13 @@ class Link:
         self.a = a
         self.b = b
         self.ab = Channel(
-            sim,
-            b.deliver,
-            rate_bps_ab if rate_bps_ab is not None else rate_bps,
-            delay,
-            queue_bytes=queue_bytes,
-            loss_rate=loss_rate,
-            jitter=jitter,
-            rng=rng,
+            sim, b.deliver, rate_bps_ab if rate_bps_ab is not None else rate_bps, delay,
+            queue_bytes=queue_bytes, loss_rate=loss_rate, jitter=jitter, rng=rng,
             name=f"{self.name}:ab",
         )
         self.ba = Channel(
-            sim,
-            a.deliver,
-            rate_bps_ba if rate_bps_ba is not None else rate_bps,
-            delay,
-            queue_bytes=queue_bytes,
-            loss_rate=loss_rate,
-            jitter=jitter,
-            rng=rng,
+            sim, a.deliver, rate_bps_ba if rate_bps_ba is not None else rate_bps, delay,
+            queue_bytes=queue_bytes, loss_rate=loss_rate, jitter=jitter, rng=rng,
             name=f"{self.name}:ba",
         )
         a.attach(self.ab)

@@ -5,6 +5,7 @@ import pytest
 from repro.net.interface import EthernetInterface
 from repro.net.link import Channel, Link
 from repro.net.packet import Packet
+from repro.obs import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.rng import ConstantVariate, RandomStreams, UniformVariate
 
@@ -174,3 +175,28 @@ def test_channel_counters():
     sim.run()
     assert ch.tx_packets == 1
     assert ch.tx_bytes == p.length
+
+
+def dispatched_events(sends):
+    """Engine events one channel dispatches for ``sends`` bursts of packets."""
+    sim = Simulator()
+    sim.metrics = MetricsRegistry()
+    ch = Channel(sim, lambda p: None, rate_bps=8000.0, delay=0.01)
+    for burst in sends:
+        for _ in range(burst):
+            ch.send(Packet("10.0.0.1", size=972))
+        sim.run()
+    return sim.metrics.counter("engine.events_dispatched").value
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_one_engine_event_per_spaced_packet(k):
+    # Each packet finds the transmitter idle: its delivery is the only event.
+    assert dispatched_events([1] * k) == k
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_back_to_back_burst_adds_one_event_per_queued_packet(k):
+    # The first packet starts at once; each queued one waits for one
+    # "transmitter free" event, then its delivery.
+    assert dispatched_events([k]) == 2 * k - 1

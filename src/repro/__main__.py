@@ -738,7 +738,7 @@ def main(argv=None) -> int:
     fleet_parser.add_argument(
         "--scenario", action="append", metavar="POINT",
         help="scenario-grammar point assigned round-robin across nodes "
-             "(repeatable), e.g. climb/fade/home/local",
+             "(repeatable; home/local points only), e.g. climb/fade/home/local",
     )
     fleet_parser.add_argument(
         "--check", action="store_true",

@@ -98,7 +98,8 @@ class FleetSpec:
     deadline: float = 0.0  # 0: derive from the slice/workload shape
     #: Scenario-grammar points assigned round-robin across the fleet's
     #: nodes (node ``k`` of the whole fleet draws ``scenarios[k % n]``),
-    #: so one spec covers many grammar points deterministically.
+    #: so one spec covers many grammar points deterministically.  Only
+    #: ``home/local`` points: the fleet models no roaming or remote SIM.
     scenarios: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -142,15 +143,24 @@ class FleetSpec:
             except FaultSpecError as exc:
                 raise FleetSpecError(f"bad fault spec: {exc}") from None
         # Same eagerness for scenario-grammar points: an unknown name
-        # fails at spec build time, with the grammar's own message.
+        # fails at spec build time, with the grammar's own message, and
+        # so does a point whose roaming or remote-SIM dimension the
+        # fleet would silently drop (its nodes use one home operator
+        # and no serial faults).
         if self.scenarios:
             from repro.scenarios import ScenarioSpecError, grammar_point
 
             for name in self.scenarios:
                 try:
-                    grammar_point(name)
+                    point = grammar_point(name)
                 except ScenarioSpecError as exc:
                     raise FleetSpecError(f"bad scenario: {exc}") from None
+                if point.roaming.visit or point.remote_sim.tunnel:
+                    raise FleetSpecError(
+                        f"bad scenario: {name!r}: fleet nodes model the ladder and "
+                        "handover dimensions only (use 'home/local'; roaming and "
+                        "remote-SIM points run under 'repro chaos --scenario-grammar')"
+                    )
 
     # -- sharding ---------------------------------------------------------
 

@@ -14,8 +14,9 @@ that node's *radio*: its cell carries the point's bearer ladder and
 its handover target cells are pre-built (the campaign schedules the
 mid-call events).  The grammar's roaming and remote-SIM dimensions are
 single-testbed concerns (a second operator; sim-global serial faults)
-and are exercised by ``repro chaos --scenario-grammar``, not per fleet
-node.
+exercised by ``repro chaos --scenario-grammar``: :class:`FleetSpec`
+rejects points that set them, so every point a fleet node names is
+applied in full.
 """
 
 from __future__ import annotations

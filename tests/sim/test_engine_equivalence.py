@@ -1,24 +1,24 @@
-"""Dispatch-order equivalence: bucket kernel vs the legacy tuple heap.
+"""Dispatch-order equivalence: bucket kernel vs a sorted-list reference.
 
-The shared-kernel rewrite replaced the ``(time, seq, event)`` heap with
-bucketed same-timestamp storage and tombstone cancellation, and run()
-and step() now share one batch walk.  Golden digests pin whole
-campaigns; these properties pin the engine semantics directly: for
-*any* program of schedules, nested schedules, schedule-at-``now``
-calls, cancellations (at build time or mid-dispatch) and ``stop()``
-calls, driven by any mix of ``run(until)`` and ``step()`` calls, the
-new kernel and the preserved pre-rewrite engine
-(``tests/sim/legacy_engine.py``) must dispatch the same callbacks in
-the same order at the same clock readings — plain, with a metrics
-registry attached and with a profiler attached.
+The kernel stores events in per-timestamp buckets with tombstone
+cancellation, and run() and step() share one batch walk.  Golden
+digests pin whole campaigns; these properties pin the engine semantics
+directly: for *any* program of schedules, nested schedules,
+schedule-at-``now`` calls, cancellations (at build time or
+mid-dispatch) and ``stop()`` calls, driven by any mix of ``run(until)``
+and ``step()`` calls, the kernel and the reference model
+(``tests/sim/reference_engine.py``: one list ordered by time and post
+sequence) must dispatch the same callbacks in the same order at the
+same clock readings — plain, with a metrics registry attached and with
+a profiler attached.  (The test names predate the reference model; it
+replaced a preserved copy of the pre-rewrite heap engine.)
 """
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, SimProfiler
 from repro.sim.engine import Simulator
-from tests.sim.legacy_engine import Simulator as LegacySimulator
+from tests.sim.reference_engine import Simulator as ReferenceSimulator
 
 #: All program times sit on this grid so equal instants are bitwise
 #: equal floats (0.125 is exactly representable).
@@ -95,10 +95,10 @@ def _execute(sim, program, drives):
 @settings(max_examples=100, deadline=None)
 def test_kernel_matches_legacy_engine_for_any_program(program, drives):
     new = _execute(Simulator(), program, drives)
-    legacy = _execute(LegacySimulator(), program, drives)
-    assert new == legacy
+    reference = _execute(ReferenceSimulator(), program, drives)
+    assert new == reference
     # Every live event fired: the O(1) live counter drained to zero,
-    # exactly like the legacy engine's O(n) heap scan.
+    # exactly like the reference model's O(n) scan.
     assert new[3] == 0
 
 
@@ -109,8 +109,8 @@ def test_kernel_instrumented_loop_matches_legacy_engine(program, drives):
     sim = Simulator()
     sim.metrics = MetricsRegistry()
     instrumented = _execute(sim, program, drives)
-    legacy = _execute(LegacySimulator(), program, drives)
-    assert instrumented == legacy
+    reference = _execute(ReferenceSimulator(), program, drives)
+    assert instrumented == reference
     dispatched = sim.metrics.counter("engine.events_dispatched").value
     assert dispatched == len(instrumented[0])
 
@@ -122,6 +122,6 @@ def test_kernel_profiled_loop_matches_legacy_engine(program, drives):
     sim = Simulator()
     sim.profile = SimProfiler()
     profiled = _execute(sim, program, drives)
-    legacy = _execute(LegacySimulator(), program, drives)
-    assert profiled == legacy
+    reference = _execute(ReferenceSimulator(), program, drives)
+    assert profiled == reference
     assert sim.profile.total_events == len(profiled[0])

@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,9 @@ def test_report_jsonl_records(tmp_path):
     (metrics,) = [r for r in records if r["record"] == "metrics"]
     assert "engine.events_dispatched" in metrics["metrics"]
     assert "engine.dispatch_wall_seconds" not in metrics["metrics"]
+    # Pins the profile, phase and metrics records byte for byte (seed 3).
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "e43bb693eb1cdcf57431b96d3240cfb1758ea48c101efe7353508a9b6080f9ce")
 
 
 def test_report_campaign_openmetrics_identical_across_workers(tmp_path):

@@ -1,6 +1,6 @@
 """repro.lint — domain-aware static analysis for the reproduction.
 
-Three rule families guard the properties the reproduction depends on:
+Eight rule families guard the properties the reproduction depends on:
 
 - **determinism** (:mod:`repro.lint.rules.determinism`) — no wall-clock
   reads, no unseeded or module-level randomness, no iteration-order
@@ -12,8 +12,8 @@ Three rule families guard the properties the reproduction depends on:
   state × event matrix, name only declared target states, and keep
   every state reachable; subclasses may only override policy hooks;
 - **typing** (:mod:`repro.lint.rules.typing_defs`) — the ``sim``,
-  ``ppp``, ``vsys`` and ``bench`` packages require fully annotated
-  defs, mirroring the mypy ``disallow_untyped_defs`` escalation in
+  ``ppp``, ``vsys``, ``bench`` and ``parallel`` packages require fully
+  annotated defs, mirroring the mypy ``disallow_untyped_defs`` escalation in
   ``pyproject.toml`` so violations surface even where mypy is absent;
 - **retry policy** (:mod:`repro.lint.rules.retry`) — no ``time.sleep``
   and no hand-rolled ``range()``-based retry loops; every retry goes

@@ -91,8 +91,8 @@ class Channel:
         self.delay = float(delay)
         self.queue_bytes = queue_bytes
         self.loss_rate = loss_rate
-        self.jitter = jitter
         self._rng = rng
+        self._jitter = jitter.sampler(rng) if jitter is not None else None
         self.name = name
         self._length_of = length_of if length_of is not None else attrgetter("length")
         self._queue: Deque[Packet] = deque()
@@ -149,8 +149,8 @@ class Channel:
             self.dropped_loss += 1
             return
         delay = self.delay
-        if self.jitter is not None:
-            delay += max(0.0, self.jitter.sample(self._rng))
+        if self._jitter is not None:
+            delay += max(0.0, self._jitter())
         arrival = done + delay
         # FIFO channels never reorder: clamp to the last delivery time.
         if arrival < self._last_delivery_time:

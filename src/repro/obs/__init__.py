@@ -7,7 +7,7 @@ Recording, threaded through every subsystem of the reproduction:
   pluggable sinks;
 - :class:`MetricsRegistry` — counters, gauges and fixed-bucket
   histograms (vsys RPC latency, engine queue depth, per-slice
-  marked/dropped packet counts), exportable to dict/JSON;
+  marked/dropped packet counts), exported as one ``snapshot()`` dict;
 - :class:`FlightRecorder` — a bounded ring-buffer sink that freezes
   the last N events whenever an error event (a ``UmtsCommandError``,
   a failed dial phase) crosses the bus.
@@ -91,19 +91,18 @@ class Observability:
         sim.metrics = self.metrics
 
     def enable_profiling(self) -> SimProfiler:
-        """Attach (or return the existing) :class:`SimProfiler`."""
+        """Attach the :class:`SimProfiler`, creating it on first use.
+
+        Also re-attaches it after :meth:`detach`.
+        """
         if self.profiler is None:
             self.profiler = SimProfiler()
-            self.sim.profile = self.profiler
+        self.sim.profile = self.profiler
         return self.profiler
 
     def bind_node(self, node) -> None:
-        """Point a PlanetLab node's netfilter dispatcher at the registry."""
-        self.bind_netfilter(node.stack.netfilter)
-
-    def bind_netfilter(self, netfilter) -> None:
-        """Enable mark/drop counters on one netfilter dispatcher."""
-        netfilter.metrics = self.metrics
+        """Point a node's netfilter mark/drop counters at the registry."""
+        node.stack.netfilter.metrics = self.metrics
 
     def record_events(self) -> ListSink:
         """Attach and return an in-memory :class:`ListSink`."""

@@ -2,15 +2,15 @@
 
 Components grab metrics by name from the :class:`MetricsRegistry` hung
 off the simulator (``sim.metrics``); the registry is the single export
-point for the analysis layer (:meth:`MetricsRegistry.as_dict` /
-:meth:`MetricsRegistry.to_json`).  Everything here is observation only:
-no metric feeds back into simulation behaviour, which is what keeps an
-attached registry from perturbing scenario results.
+point for the analysis layer (:meth:`MetricsRegistry.snapshot`, which
+campaign workers also ship to be merged).  Everything here is
+observation only: no metric feeds back into simulation behaviour,
+which is what keeps an attached registry from perturbing scenario
+results.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,10 +43,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (got {amount!r})")
         self.value += amount
-
-    def as_dict(self) -> Dict[str, Union[int, float]]:
-        """Exportable snapshot."""
-        return {"type": "counter", "value": self.value}
 
     def snapshot(self) -> Dict[str, object]:
         """Lossless JSON-able state, mergeable via :meth:`merge_snapshot`."""
@@ -89,18 +85,11 @@ class Gauge:
         """Adjust the gauge downward."""
         self.set(self.value - amount)
 
-    def as_dict(self) -> Dict[str, Union[int, float, None]]:
-        """Exportable snapshot (extremes are None before the first set)."""
-        return {
-            "type": "gauge",
-            "value": self.value,
-            "max": self.max_value if self.updates else None,
-            "min": self.min_value if self.updates else None,
-            "updates": self.updates,
-        }
-
     def snapshot(self) -> Dict[str, object]:
-        """Lossless JSON-able state, mergeable via :meth:`merge_snapshot`."""
+        """Lossless JSON-able state, mergeable via :meth:`merge_snapshot`.
+
+        Extremes are None before the first set.
+        """
         return {
             "type": "gauge",
             "value": self.value,
@@ -183,25 +172,11 @@ class Histogram:
             return math.nan
         return self.total / self.count
 
-    def as_dict(self) -> Dict[str, object]:
-        """Exportable snapshot with per-bucket counts keyed by edge."""
-        return {
-            "type": "histogram",
-            "count": self.count,
-            "sum": self.total,
-            "mean": None if self.count == 0 else self.total / self.count,
-            "max": self.max_value if self.count else None,
-            "min": self.min_value if self.count else None,
-            "buckets": {f"le_{edge:g}": n for edge, n in zip(self.buckets, self.counts)},
-            "overflow": self.overflow,
-        }
-
     def snapshot(self) -> Dict[str, object]:
         """Lossless JSON-able state, mergeable via :meth:`merge_snapshot`.
 
-        Unlike :meth:`as_dict` (a display export with ``le_…`` keys),
-        this keeps the raw ``edges``/``counts`` arrays so a merge can
-        verify bucket compatibility and add counts exactly.
+        The raw ``edges``/``counts`` arrays let a merge verify bucket
+        compatibility and add counts exactly.
         """
         return {
             "type": "histogram",
@@ -292,14 +267,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-    def as_dict(self) -> Dict[str, Dict[str, object]]:
-        """Snapshot of every metric, keyed by name."""
-        return {name: self._metrics[name].as_dict() for name in self.names()}
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The :meth:`as_dict` snapshot serialized as JSON."""
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Lossless JSON-able state of every metric, keyed by name.

@@ -80,53 +80,25 @@ class SimProfiler:
         self.total_events = 0
         self.total_sim_time = 0.0
         self._last_now = 0.0
-        # Interned event types: the engine resolves each distinct
-        # callback to a type id once (via :meth:`register_type`) and
-        # then reports through :meth:`record_typed`, which is pure list
-        # indexing — no callback or tuple-key hashing on the hot path.
-        self._tid_subsystem: List[ProfileEntry] = []
-        self._tid_process: List[Optional[ProfileEntry]] = []
 
-    def register_type(self, callback: Any) -> int:
-        """Intern one callback as an event-type id (engine hot-path API).
-
-        Resolves the subsystem/process attribution walk once and binds
-        the returned id directly to the accumulator entries, so
-        :meth:`record_typed` never hashes anything.  Ids for callbacks
-        with identical attribution share the same underlying entries,
-        so duplicate registration (e.g. of an unhashable callback the
-        engine cannot intern) only costs memory, never correctness.
-        """
-        subsystem_key = _subsystem_of(callback)
-        process_key = _process_of(callback)
-        entry = self.subsystems.get(subsystem_key)
-        if entry is None:
-            entry = self.subsystems[subsystem_key] = ProfileEntry()
-        proc: Optional[ProfileEntry] = None
-        if process_key is not None:
-            proc = self.processes.get(process_key)
-            if proc is None:
-                proc = self.processes[process_key] = ProfileEntry()
-        tid = len(self._tid_subsystem)
-        self._tid_subsystem.append(entry)
-        self._tid_process.append(proc)
-        return tid
-
-    def record_typed(self, tid: int, now: float, wall: float) -> None:
-        """Attribute one dispatched event by interned type id."""
+    def record(self, callback: Any, now: float, wall: float) -> None:
+        """Attribute one dispatched event to its subsystem and process."""
         advance = now - self._last_now
         if advance < 0.0:  # a fresh run after reset; don't go negative
             advance = 0.0
         self._last_now = now
-        entry = self._tid_subsystem[tid]
-        entry.events += 1
-        entry.sim_time += advance
-        entry.wall_time += wall
-        proc = self._tid_process[tid]
-        if proc is not None:
-            proc.events += 1
-            proc.sim_time += advance
-            proc.wall_time += wall
+        for entries, key in (
+            (self.subsystems, _subsystem_of(callback)),
+            (self.processes, _process_of(callback)),
+        ):
+            if key is None:
+                continue
+            entry = entries.get(key)
+            if entry is None:
+                entry = entries[key] = ProfileEntry()
+            entry.events += 1
+            entry.sim_time += advance
+            entry.wall_time += wall
         self.total_events += 1
         self.total_sim_time += advance
 

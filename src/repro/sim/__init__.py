@@ -19,7 +19,7 @@ The engine is deliberately small and deterministic:
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.errors import SimulationError
-from repro.sim.monitor import Monitor, TimeSeries
+from repro.sim.monitor import TimeSeries
 from repro.sim.process import Interrupt, Process, Signal, Store, spawn
 from repro.sim.rng import (
     CauchyVariate,
@@ -44,7 +44,6 @@ __all__ = [
     "GammaVariate",
     "Interrupt",
     "LogNormalVariate",
-    "Monitor",
     "NormalVariate",
     "ParetoVariate",
     "Process",

@@ -37,11 +37,10 @@ layer's no-sink contract) each event is a bare ``cb(*args)``: no
 ``time.perf_counter`` pair, no histogram update.  Otherwise every
 event of the batch goes through the instrumented dispatch, where
 metric handles are resolved once per registry (not per event) and
-profiler attribution happens through interned event-type ids (one
-hash of the callback on first sight, list indexing afterwards).  A
-sink attached by a callback mid-batch takes effect at the next
-instant.  Dispatch order does not depend on instrumentation, so
-instrumented and uninstrumented runs are bit-for-bit identical.
+the profiler is handed the callback itself.  A sink attached by a
+callback mid-batch takes effect at the next instant.  Dispatch order
+does not depend on instrumentation, so instrumented and
+uninstrumented runs are bit-for-bit identical.
 """
 
 from __future__ import annotations
@@ -138,15 +137,11 @@ class Simulator:
         #: points check this before consulting fault plans, so ``None``
         #: keeps unfaulted runs bit-identical.
         self.faults: Optional[Any] = None
-        # Per-registry / per-profiler instrumentation caches: metric
-        # handles are resolved once per attached registry, and event
-        # types are interned once per callback per attached profiler.
+        # Metric handles, resolved once per attached registry.
         self._metrics_src: Optional[Any] = None
         self._m_dispatched: Any = None
         self._m_wall: Any = None
         self._m_depth: Any = None
-        self._prof_src: Optional[Any] = None
-        self._prof_intern: Dict[Any, int] = {}
 
     # -- scheduling --------------------------------------------------------
     #
@@ -256,21 +251,7 @@ class Simulator:
             self._m_depth.set(self._live)
         profile = self.profile
         if profile is not None:
-            if profile is not self._prof_src:
-                self._prof_src = profile
-                self._prof_intern = {}
-            intern = self._prof_intern
-            try:
-                tid: Optional[int] = intern.get(cb)
-            except TypeError:  # unhashable callback: re-register (rare)
-                tid = None
-            else:
-                if tid is None:
-                    tid = profile.register_type(cb)
-                    intern[cb] = tid
-            if tid is None:
-                tid = profile.register_type(cb)
-            profile.record_typed(tid, self.now, elapsed)
+            profile.record(cb, self.now, elapsed)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run the event loop.

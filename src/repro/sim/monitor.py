@@ -161,31 +161,3 @@ class TimeSeries:
         """The series as a list of (time, value) tuples."""
         return list(zip(self.times, self.values))
 
-
-class Monitor:
-    """A named collection of :class:`TimeSeries` owned by one component.
-
-    Components call ``monitor.record("queue_len", now, depth)``; the
-    analysis layer later pulls the series out by name.
-    """
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._series: dict[str, TimeSeries] = {}
-
-    def series(self, key: str) -> TimeSeries:
-        """Return (creating if needed) the series for ``key``."""
-        if key not in self._series:
-            self._series[key] = TimeSeries(f"{self.name}.{key}" if self.name else key)
-        return self._series[key]
-
-    def record(self, key: str, time: float, value: float) -> None:
-        """Append a sample to the series named ``key``."""
-        self.series(key).add(time, value)
-
-    def keys(self) -> List[str]:
-        """Names of all recorded series."""
-        return sorted(self._series)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._series

@@ -48,9 +48,10 @@ class RandomStreams:
 class Distribution:
     """Base class for random variates.
 
-    Subclasses implement :meth:`sample`.  ``low``/``high`` clamp the
-    draw, which mirrors how a traffic generator must truncate e.g. a
-    normal packet size to [minimum header size, MTU].
+    Subclasses implement :meth:`_bound_draw`; :meth:`sampler` is the
+    one way to draw.  ``low``/``high`` clamp the draw, which mirrors how
+    a traffic generator must truncate e.g. a normal packet size to
+    [minimum header size, MTU].
     """
 
     def __init__(self, low: Optional[float] = None, high: Optional[float] = None):
@@ -59,35 +60,20 @@ class Distribution:
         self.low = low
         self.high = high
 
-    def _draw(self, rng: random.Random) -> float:
+    def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
+        """A zero-argument, unclamped draw from ``rng``.
+
+        Subclasses close over the bound ``random.Random`` method so the
+        per-sample cost is one call, no attribute lookups.
+        """
         raise NotImplementedError
 
-    def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
-        """A zero-argument draw with the RNG method lookups hoisted.
-
-        The default wraps :meth:`_draw`; subclasses override it to
-        close over the bound ``random.Random`` method directly so the
-        per-sample cost is one call, no attribute lookups.  The draw
-        sequence is identical to :meth:`sample` on the same RNG.
-        """
-        return lambda: self._draw(rng)
-
-    def sample(self, rng: random.Random) -> float:
-        """Draw one value, clamped to the configured bounds."""
-        value = self._draw(rng)
-        if self.low is not None and value < self.low:
-            value = self.low
-        if self.high is not None and value > self.high:
-            value = self.high
-        return value
-
     def sampler(self, rng: random.Random) -> Callable[[], float]:
-        """A fast-path sampler bound to ``rng``.
+        """A zero-argument draw from ``rng``, clamped to ``low``/``high``.
 
-        Equivalent to ``lambda: self.sample(rng)`` — same draws, same
-        clamping — but with the RNG method and bound lookups cached in
-        the closure, which matters in the traffic senders' per-packet
-        loop.
+        Bind it once and call it per sample: the RNG method and bound
+        lookups are cached in the closure, which matters in the
+        traffic senders' and channels' per-packet paths.
         """
         draw = self._bound_draw(rng)
         low = self.low
@@ -117,9 +103,6 @@ class ConstantVariate(Distribution):
         super().__init__()
         self.value = float(value)
 
-    def _draw(self, rng: random.Random) -> float:
-        return self.value
-
     def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
         value = self.value
         return lambda: value
@@ -142,9 +125,6 @@ class UniformVariate(Distribution):
         self.a = float(a)
         self.b = float(b)
 
-    def _draw(self, rng: random.Random) -> float:
-        return rng.uniform(self.a, self.b)
-
     def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
         uniform, a, b = rng.uniform, self.a, self.b
         return lambda: uniform(a, b)
@@ -165,9 +145,6 @@ class ExponentialVariate(Distribution):
             raise ValueError(f"exponential mean must be positive, got {mean!r}")
         super().__init__(low=low, high=high)
         self._mean = float(mean)
-
-    def _draw(self, rng: random.Random) -> float:
-        return rng.expovariate(1.0 / self._mean)
 
     def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
         expovariate, lambd = rng.expovariate, 1.0 / self._mean
@@ -197,9 +174,6 @@ class NormalVariate(Distribution):
         self.mu = float(mu)
         self.sigma = float(sigma)
 
-    def _draw(self, rng: random.Random) -> float:
-        return rng.gauss(self.mu, self.sigma)
-
     def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
         gauss, mu, sigma = rng.gauss, self.mu, self.sigma
         return lambda: gauss(mu, sigma)
@@ -227,9 +201,6 @@ class ParetoVariate(Distribution):
         super().__init__(low=low, high=high)
         self.alpha = float(alpha)
         self.xm = float(xm)
-
-    def _draw(self, rng: random.Random) -> float:
-        return self.xm * rng.paretovariate(self.alpha)
 
     def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
         paretovariate, alpha, xm = rng.paretovariate, self.alpha, self.xm
@@ -265,10 +236,11 @@ class CauchyVariate(Distribution):
         self.x0 = float(x0)
         self.gamma = float(gamma)
 
-    def _draw(self, rng: random.Random) -> float:
-        # Inverse-CDF sampling; avoid u == 0.5 singularity neighbours safely.
-        u = rng.random()
-        return self.x0 + self.gamma * math.tan(math.pi * (u - 0.5))
+    def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
+        # Inverse-CDF sampling.
+        unit, tan, pi = rng.random, math.tan, math.pi
+        x0, gamma = self.x0, self.gamma
+        return lambda: x0 + gamma * tan(pi * (unit() - 0.5))
 
     def mean(self) -> float:
         """Theoretical mean of the distribution."""
@@ -294,8 +266,9 @@ class WeibullVariate(Distribution):
         self.lam = float(lam)
         self.k = float(k)
 
-    def _draw(self, rng: random.Random) -> float:
-        return rng.weibullvariate(self.lam, self.k)
+    def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
+        weibullvariate, lam, k = rng.weibullvariate, self.lam, self.k
+        return lambda: weibullvariate(lam, k)
 
     def mean(self) -> float:
         """Theoretical mean of the distribution."""
@@ -321,8 +294,9 @@ class GammaVariate(Distribution):
         self.k = float(k)
         self.theta = float(theta)
 
-    def _draw(self, rng: random.Random) -> float:
-        return rng.gammavariate(self.k, self.theta)
+    def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
+        gammavariate, k, theta = rng.gammavariate, self.k, self.theta
+        return lambda: gammavariate(k, theta)
 
     def mean(self) -> float:
         """Theoretical mean of the distribution."""
@@ -348,8 +322,9 @@ class LogNormalVariate(Distribution):
         self.mu = float(mu)
         self.sigma = float(sigma)
 
-    def _draw(self, rng: random.Random) -> float:
-        return rng.lognormvariate(self.mu, self.sigma)
+    def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
+        lognormvariate, mu, sigma = rng.lognormvariate, self.mu, self.sigma
+        return lambda: lognormvariate(mu, sigma)
 
     def mean(self) -> float:
         """Theoretical mean of the distribution."""

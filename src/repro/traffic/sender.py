@@ -49,9 +49,7 @@ class ItgSender:
         self._sent_times = {}
         self._seq = itertools.count()
         self._process: Optional[Process] = None
-        # Per-packet fast paths: the IDT/PS samplers with their RNG
-        # method lookups hoisted (identical draw sequence to
-        # ``spec.idt.sample(rng)`` / ``spec.ps.sample(rng)``).
+        # The IDT/PS samplers, bound once for the per-packet loop.
         self._idt_sample = spec.idt.sampler(rng)
         self._ps_sample = spec.ps.sampler(rng)
         socket.on_receive = self._on_receive

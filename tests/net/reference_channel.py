@@ -77,7 +77,7 @@ class ReferenceChannel:
             return
         delay = self.delay
         if self.jitter is not None:
-            delay += max(0.0, self.jitter.sample(self._rng))
+            delay += max(0.0, self.jitter.sampler(self._rng)())
         arrival = self._sim.now + delay
         if arrival < self._last_delivery_time:
             arrival = self._last_delivery_time

@@ -123,7 +123,7 @@ def _shared_stream_pair(model, seed):
 
 def test_shared_stream_draws_in_transmission_start_order():
     draws = random.Random(7)
-    first, second = (UniformVariate(0.0, 0.01).sample(draws) for _ in range(2))
+    first, second = (UniformVariate(0.0, 0.01).sampler(draws)() for _ in range(2))
     assert _shared_stream_pair(Channel, 7) == {
         "ab": 1.0 + (0.5 + first),
         "ba": (0.25 + 10 * 8.0 / 8000.0) + (0.5 + second),

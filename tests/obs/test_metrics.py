@@ -13,7 +13,7 @@ def test_counter_increments():
     c.inc()
     c.inc(4)
     assert c.value == 5
-    assert c.as_dict() == {"type": "counter", "value": 5}
+    assert c.snapshot() == {"type": "counter", "value": 5}
 
 
 def test_counter_rejects_negative_amounts():
@@ -37,7 +37,7 @@ def test_gauge_tracks_extremes():
 
 
 def test_gauge_export_before_first_set():
-    snapshot = Gauge("idle").as_dict()
+    snapshot = Gauge("idle").snapshot()
     assert snapshot["max"] is None
     assert snapshot["min"] is None
     assert snapshot["updates"] == 0
@@ -75,8 +75,9 @@ def test_histogram_mean_of_empty_is_nan():
 def test_histogram_export_keys_buckets_by_edge():
     h = Histogram("h", buckets=(0.5, 2.0))
     h.observe(0.4)
-    snapshot = h.as_dict()
-    assert snapshot["buckets"] == {"le_0.5": 1, "le_2": 0}
+    snapshot = h.snapshot()
+    assert snapshot["edges"] == [0.5, 2.0]
+    assert snapshot["counts"] == [1, 0]
     assert snapshot["overflow"] == 0
 
 
@@ -104,7 +105,7 @@ def test_registry_export_round_trips_through_json():
     registry.counter("reqs").inc(2)
     registry.gauge("depth").set(4.0)
     registry.histogram("lat", buckets=(1.0,)).observe(0.5)
-    decoded = json.loads(registry.to_json())
+    decoded = json.loads(json.dumps(registry.snapshot()))
     assert decoded["reqs"]["value"] == 2
     assert decoded["depth"]["max"] == 4.0
     assert decoded["lat"]["count"] == 1
@@ -129,7 +130,6 @@ class TestSnapshotMerge:
         original = self._populated()
         restored = MetricsRegistry().merge(original.snapshot())
         assert restored.snapshot() == original.snapshot()
-        assert restored.as_dict() == original.as_dict()
 
     def test_snapshot_survives_json(self):
         snap = self._populated().snapshot()

@@ -107,3 +107,8 @@ class TestScenarioProfile:
         assert scenario.sim.trace is None
         assert scenario.sim.metrics is None
         assert scenario.sim.profile is None
+        # Re-enabling after a detach attaches the same profiler again.
+        profiler = obs.enable_profiling()
+        assert scenario.sim.profile is profiler
+        assert scenario.umts_command().start_blocking().ok
+        assert profiler.total_events > 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.monitor import Monitor, TimeSeries, window_fold
+from repro.sim.monitor import TimeSeries, window_fold
 
 
 def make_series(pairs):
@@ -86,24 +86,6 @@ def test_window_default_end_covers_last_sample():
 def test_samples_outside_range_excluded():
     _, sums = window_fold([(0.0, 1.0), (5.0, 99.0)], 1.0, 0.0, 2.0, mean=False)
     assert sum(sums) == 1.0
-
-
-def test_monitor_creates_named_series():
-    mon = Monitor("umts")
-    mon.record("queue", 0.0, 1.0)
-    mon.record("queue", 1.0, 2.0)
-    assert "queue" in mon
-    assert mon.series("queue").name == "umts.queue"
-    assert mon.keys() == ["queue"]
-    assert len(mon.series("queue")) == 2
-
-
-def test_monitor_distinct_keys():
-    mon = Monitor()
-    mon.record("a", 0.0, 1.0)
-    mon.record("b", 0.0, 2.0)
-    assert mon.keys() == ["a", "b"]
-    assert "c" not in mon
 
 
 @given(

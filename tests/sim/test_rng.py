@@ -57,14 +57,14 @@ def test_fork_is_deterministic_and_distinct():
 def test_constant_variate():
     rng = RandomStreams(0).stream("c")
     dist = ConstantVariate(3.5)
-    assert all(dist.sample(rng) == 3.5 for _ in range(10))
+    assert all(dist.sampler(rng)() == 3.5 for _ in range(10))
     assert dist.mean() == 3.5
 
 
 def test_uniform_variate_bounds_and_mean():
     rng = RandomStreams(0).stream("u")
     dist = UniformVariate(2.0, 4.0)
-    samples = [dist.sample(rng) for _ in range(2000)]
+    samples = [dist.sampler(rng)() for _ in range(2000)]
     assert all(2.0 <= s <= 4.0 for s in samples)
     assert sum(samples) / len(samples) == pytest.approx(3.0, abs=0.1)
     assert dist.mean() == 3.0
@@ -78,7 +78,7 @@ def test_uniform_rejects_reversed_bounds():
 def test_exponential_mean():
     rng = RandomStreams(0).stream("e")
     dist = ExponentialVariate(0.5)
-    samples = [dist.sample(rng) for _ in range(5000)]
+    samples = [dist.sampler(rng)() for _ in range(5000)]
     assert sum(samples) / len(samples) == pytest.approx(0.5, rel=0.1)
     assert dist.mean() == 0.5
 
@@ -91,7 +91,7 @@ def test_exponential_rejects_nonpositive_mean():
 def test_normal_clamping():
     rng = RandomStreams(0).stream("n")
     dist = NormalVariate(0.0, 1.0, low=0.0)
-    assert all(dist.sample(rng) >= 0.0 for _ in range(1000))
+    assert all(dist.sampler(rng)() >= 0.0 for _ in range(1000))
 
 
 def test_normal_rejects_negative_sigma():
@@ -102,7 +102,7 @@ def test_normal_rejects_negative_sigma():
 def test_pareto_minimum_is_scale():
     rng = RandomStreams(0).stream("p")
     dist = ParetoVariate(2.0, 10.0)
-    assert all(dist.sample(rng) >= 10.0 for _ in range(1000))
+    assert all(dist.sampler(rng)() >= 10.0 for _ in range(1000))
     assert dist.mean() == pytest.approx(20.0)
 
 
@@ -120,7 +120,7 @@ def test_pareto_rejects_bad_params():
 def test_cauchy_clamped_sampling():
     rng = RandomStreams(0).stream("cy")
     dist = CauchyVariate(0.0, 1.0, low=-100.0, high=100.0)
-    samples = [dist.sample(rng) for _ in range(1000)]
+    samples = [dist.sampler(rng)() for _ in range(1000)]
     assert all(-100.0 <= s <= 100.0 for s in samples)
     assert math.isnan(dist.mean())
 
@@ -133,7 +133,7 @@ def test_cauchy_rejects_nonpositive_gamma():
 def test_weibull_mean():
     rng = RandomStreams(0).stream("w")
     dist = WeibullVariate(1.0, 1.0)  # reduces to Exponential(1)
-    samples = [dist.sample(rng) for _ in range(5000)]
+    samples = [dist.sampler(rng)() for _ in range(5000)]
     assert sum(samples) / len(samples) == pytest.approx(1.0, rel=0.1)
     assert dist.mean() == pytest.approx(1.0)
 
@@ -141,7 +141,7 @@ def test_weibull_mean():
 def test_gamma_mean():
     rng = RandomStreams(0).stream("g")
     dist = GammaVariate(2.0, 3.0)
-    samples = [dist.sample(rng) for _ in range(5000)]
+    samples = [dist.sampler(rng)() for _ in range(5000)]
     assert sum(samples) / len(samples) == pytest.approx(6.0, rel=0.1)
     assert dist.mean() == 6.0
 
@@ -160,7 +160,7 @@ def test_distribution_low_high_validation():
 @settings(max_examples=50)
 def test_constant_variate_is_always_value(value, seed):
     rng = RandomStreams(seed).stream("s")
-    assert ConstantVariate(value).sample(rng) == value
+    assert ConstantVariate(value).sampler(rng)() == value
 
 
 @given(
@@ -172,7 +172,7 @@ def test_constant_variate_is_always_value(value, seed):
 def test_clamps_respected_for_exponential(mean, low, seed):
     rng = RandomStreams(seed).stream("s")
     dist = ExponentialVariate(mean, low=low)
-    assert dist.sample(rng) >= low
+    assert dist.sampler(rng)() >= low
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1), st.text(min_size=1, max_size=20))

@@ -17,6 +17,7 @@ platforms and the CPython versions CI runs.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import Any
 
 
@@ -24,13 +25,10 @@ def run_digest(result: Any) -> str:
     """SHA-256 over every observable output of one characterization run."""
     h = hashlib.sha256()
     log = result.sender.log
-    for record in log.sent:
-        h.update(repr(tuple(record)).encode())
-    for record in log.rtt:
-        h.update(repr(tuple(record)).encode())
-    receiver_log = result.receiver.log_for(log.flow_id)
-    for record in receiver_log.received:
-        h.update(repr(tuple(record)).encode())
+    # Each record's plain-tuple repr, in log order.
+    received = result.receiver.log_for(log.flow_id).received
+    for text in map(tuple.__repr__, chain(log.sent, log.rtt, received)):
+        h.update(text.encode())
     h.update(repr(tuple(result.summary)).encode())
     for series in (
         result.bitrate_kbps(),

@@ -75,7 +75,7 @@ class IPStack:
         self._next_ephemeral = EPHEMERAL_PORT_START
         self._echo_listeners: Dict[int, Callable[[Packet], None]] = {}
         #: integer values of the interface addresses, built on demand by
-        #: :meth:`is_local_address`; ``None`` once an address changes.
+        #: :meth:`_local_addresses`; ``None`` once an address changes.
         self._local_ints: Optional[FrozenSet[int]] = None
         # counters
         self.sent_packets = 0
@@ -136,14 +136,14 @@ class IPStack:
             value = addr._ip  # type: ignore[union-attr]
         except AttributeError:  # an address given as a string
             value = ip(addr)._ip  # type: ignore[attr-defined]
-        if value >> 24 == 127:
-            return True
-        local = self._local_ints
-        if local is None:
-            local = self._local_ints = frozenset(
-                int(i.address) for i in self.interfaces.values() if i.address is not None
-            )
-        return value in local
+        return value >> 24 == 127 or value in (self._local_ints or self._local_addresses())
+
+    def _local_addresses(self) -> FrozenSet[int]:
+        """Collect the address integers (``lo`` keeps the set non-empty)."""
+        local = self._local_ints = frozenset(
+            int(i.address) for i in self.interfaces.values() if i.address is not None
+        )
+        return local
 
     # -- sockets --------------------------------------------------------
 
@@ -220,7 +220,11 @@ class IPStack:
             self._local_deliver(packet, self.interfaces["lo"])
             return
         # mangle/OUTPUT first: a MARK set here steers the route lookup.
-        if not self.netfilter.run_chain("mangle", HOOK_OUTPUT, packet, now=now):
+        # A quiet site only counts the crossing (see HookSite).
+        netfilter = self.netfilter
+        if netfilter.mangle_output.quiet:
+            netfilter.mangle_output.crossings += 1
+        elif not netfilter.run_chain("mangle", HOOK_OUTPUT, packet, now=now):
             self.dropped_filter += 1
             return
         route = self.rpdb.lookup(
@@ -238,14 +242,14 @@ class IPStack:
                 packet.src = route.src
             elif out_iface is not None and out_iface.address is not None:
                 packet.src = out_iface.address
-        if not self.netfilter.run_chain(
-            "filter", HOOK_OUTPUT, packet, out_iface=route.dev, now=now
-        ):
+        if netfilter.filter_output.quiet:
+            netfilter.filter_output.crossings += 1
+        elif not netfilter.run_chain("filter", HOOK_OUTPUT, packet, out_iface=route.dev, now=now):
             self.dropped_filter += 1
             return
-        if not self.netfilter.run_hook(
-            HOOK_POSTROUTING, packet, out_iface=route.dev, now=now
-        ):
+        if netfilter.postrouting.quiet:
+            netfilter.postrouting.crossings += 1
+        elif not netfilter.run_hook(HOOK_POSTROUTING, packet, out_iface=route.dev, now=now):
             self.dropped_filter += 1
             return
         self.sent_packets += 1
@@ -256,11 +260,18 @@ class IPStack:
     def receive(self, packet: Packet, iface: Interface) -> None:
         """A packet arrived on ``iface``."""
         now = self.sim.now
-        if not self.netfilter.run_hook(HOOK_PREROUTING, packet, in_iface=iface.name, now=now):
+        netfilter = self.netfilter
+        if netfilter.prerouting.quiet:
+            netfilter.prerouting.crossings += 1
+        elif not netfilter.run_hook(HOOK_PREROUTING, packet, in_iface=iface.name, now=now):
             self.dropped_filter += 1
             return
-        if self.is_local_address(packet.dst) or iface.name == "lo":
-            if not self.netfilter.run_hook(HOOK_INPUT, packet, in_iface=iface.name, now=now):
+        dst = packet.dst._ip  # type: ignore[attr-defined]
+        local = self._local_ints or self._local_addresses()
+        if dst in local or dst >> 24 == 127 or iface.name == "lo":
+            if netfilter.input.quiet:
+                netfilter.input.crossings += 1
+            elif not netfilter.run_hook(HOOK_INPUT, packet, in_iface=iface.name, now=now):
                 self.dropped_filter += 1
                 return
             self._local_deliver(packet, iface)
@@ -278,18 +289,16 @@ class IPStack:
         if route is None:
             self.dropped_no_route += 1
             return
-        if not self.netfilter.run_hook(
-            HOOK_FORWARD,
-            packet,
-            in_iface=iface.name,
-            out_iface=route.dev,
-            now=now,
+        if netfilter.forward.quiet:
+            netfilter.forward.crossings += 1
+        elif not netfilter.run_hook(
+            HOOK_FORWARD, packet, in_iface=iface.name, out_iface=route.dev, now=now
         ):
             self.dropped_filter += 1
             return
-        if not self.netfilter.run_hook(
-            HOOK_POSTROUTING, packet, out_iface=route.dev, now=now
-        ):
+        if netfilter.postrouting.quiet:
+            netfilter.postrouting.crossings += 1
+        elif not netfilter.run_hook(HOOK_POSTROUTING, packet, out_iface=route.dev, now=now):
             self.dropped_filter += 1
             return
         self.forwarded_packets += 1
@@ -366,7 +375,10 @@ class IPStack:
         if limiter is not None:
             limiter.send(packet)
             return
-        self._raw_transmit(packet, iface)
+        try:
+            iface.transmit(packet)
+        except InterfaceDownError:
+            self.dropped_iface_down += 1
 
     def _raw_transmit(self, packet: Packet, iface: Interface) -> None:
         try:

@@ -8,9 +8,6 @@ from repro.net.packet import Packet
 from repro.netfilter.matches import Match
 from repro.netfilter.targets import Target, Verdict
 
-# Module-level alias: the quiet-hook test reads it once per packet.
-_ACCEPT = Verdict.ACCEPT
-
 #: Hook points in traversal order for locally generated traffic.
 HOOK_PREROUTING = "PREROUTING"
 HOOK_INPUT = "INPUT"
@@ -91,26 +88,73 @@ class Rule:
         return text
 
 
+class HookSite:
+    """The built-in chains one dispatch crosses, and whether it is quiet.
+
+    While ``quiet`` (every chain empty, policy ACCEPT) the caller skips
+    the walk and adds one to ``crossings``, which each chain's
+    ``policy_packets`` includes.  User chains share :data:`_NO_SITE`.
+    """
+
+    __slots__ = ("chains", "quiet", "crossings")
+
+    def __init__(self, chains: Tuple[Chain, ...]):
+        self.chains = chains
+        self.crossings = 0
+        for chain in chains:
+            chain._site = self
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Re-derive ``quiet`` after a write to one of the chains."""
+        self.quiet = True
+        for chain in self.chains:
+            if chain.rules or chain._policy is not Verdict.ACCEPT:
+                self.quiet = False
+
+
+_NO_SITE = HookSite(())
+
+
 class Chain:
     """An ordered rule list with an optional default policy.
 
     Built-in chains have an ACCEPT/DROP policy; user-defined chains
     have ``policy=None`` and fall back to the caller (implicit RETURN).
+    Every ``-A``/``-I``/``-D``/``-F``/``-P`` refreshes its :class:`HookSite`.
     """
 
     def __init__(self, name: str, policy: Optional[Verdict] = Verdict.ACCEPT):
         self.name = name
-        self.policy = policy
+        self._policy = policy
         self.rules: List[Rule] = []
-        self.policy_packets = 0
+        self._policy_packets = 0
+        self._site = _NO_SITE
+
+    @property
+    def policy(self) -> Optional[Verdict]:
+        """The verdict for packets that reach the end of the chain."""
+        return self._policy
+
+    @policy.setter
+    def policy(self, verdict: Optional[Verdict]) -> None:
+        self._policy = verdict
+        self._site.refresh()
+
+    @property
+    def policy_packets(self) -> int:
+        """Packets that got the policy, quiet crossings of the site included."""
+        return self._policy_packets + self._site.crossings
 
     def append(self, rule: Rule) -> None:
         """Add a rule at the end (``-A``)."""
         self.rules.append(rule)
+        self._site.refresh()
 
     def insert(self, rule: Rule, index: int = 0) -> None:
         """Add a rule at ``index`` (``-I``; 0-based, default head)."""
         self.rules.insert(index, rule)
+        self._site.refresh()
 
     def delete(self, rule: Rule) -> None:
         """Remove a specific rule object (``-D``)."""
@@ -118,10 +162,12 @@ class Chain:
             self.rules.remove(rule)
         except ValueError as exc:
             raise ValueError(f"rule not in chain {self.name}: {rule!r}") from exc
+        self._site.refresh()
 
     def flush(self) -> None:
         """Drop all rules (``-F``)."""
         self.rules.clear()
+        self._site.refresh()
 
     def traverse(self, ctx: PacketContext):
         """Run the packet down the chain.
@@ -135,9 +181,9 @@ class Chain:
             if result == "NOMATCH" or result is None:
                 continue
             return result
-        if self.policy is not None:
-            self.policy_packets += 1
-            return self.policy
+        if self._policy is not None:
+            self._policy_packets += 1
+            return self._policy
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -180,38 +226,31 @@ class Netfilter:
             hook: tuple([self.tables[name].chains[hook] for name in table_names])
             for hook, table_names in HOOK_TABLE_ORDER.items()
         }
+        #: A :class:`HookSite` per place IPStack dispatches: each hook,
+        #: but OUTPUT's two tables apart (see :meth:`run_chain`).
+        self.prerouting = HookSite(self._hook_chains[HOOK_PREROUTING])
+        self.input = HookSite(self._hook_chains[HOOK_INPUT])
+        self.forward = HookSite(self._hook_chains[HOOK_FORWARD])
+        self.postrouting = HookSite(self._hook_chains[HOOK_POSTROUTING])
+        self.mangle_output = HookSite((self.tables["mangle"].chains[HOOK_OUTPUT],))
+        self.filter_output = HookSite((self.tables["filter"].chains[HOOK_OUTPUT],))
         self.dropped = 0
         #: optional :class:`~repro.obs.MetricsRegistry`; when bound, the
         #: dispatcher counts marked and dropped packets per slice xid.
         self.metrics = None
-        # Per-xid counter names, built once per xid so the per-packet
-        # hot path hands the registry a ready-made string (metric-name
-        # lint rule: no runtime string building per event).
-        self._drop_counter_names: Dict[int, str] = {}
-        self._mark_counter_names: Dict[int, str] = {}
+        # Per-xid counter names, built once per (kind, xid) so the
+        # per-packet hot path hands the registry a ready-made string
+        # (metric-name lint rule: no runtime string building per event).
+        self._xid_counter_names: Dict[Tuple[str, int], Tuple[str, str]] = {}
 
-    def _drop_counter_name(self, xid: int) -> str:
-        name = self._drop_counter_names.get(xid)
-        if name is None:
-            name = self._drop_counter_names[xid] = "netfilter.dropped.xid." + str(xid)
-        return name
-
-    def _mark_counter_name(self, xid: int) -> str:
-        name = self._mark_counter_names.get(xid)
-        if name is None:
-            name = self._mark_counter_names[xid] = "netfilter.marked.xid." + str(xid)
-        return name
-
-    def _note_drop(self, packet: Packet, hook: str) -> None:
-        self.dropped += 1
-        if self.metrics is not None:
-            self.metrics.counter("netfilter.dropped").inc()
-            self.metrics.counter(self._drop_counter_name(packet.xid)).inc()
-
-    def _note_mark(self, metrics: Any, packet: Packet, mark_before: int) -> None:
-        if packet.mark != mark_before:
-            metrics.counter("netfilter.marked").inc()
-            metrics.counter(self._mark_counter_name(packet.xid)).inc()
+    def _count_xid(self, metrics: Any, kind: str, xid: int) -> None:
+        """Bump ``netfilter.<kind>`` and ``netfilter.<kind>.xid.<xid>``."""
+        names = self._xid_counter_names.get((kind, xid))
+        if names is None:
+            family = "netfilter." + kind
+            names = self._xid_counter_names[kind, xid] = (family, family + ".xid." + str(xid))
+        for name in names:
+            metrics.counter(name).inc()
 
     def table(self, name: str) -> Table:
         """Look up a table (``filter`` or ``mangle``)."""
@@ -225,18 +264,8 @@ class Netfilter:
         out_iface: Optional[str] = None,
         now: Optional[float] = None,
     ) -> bool:
-        """Run every table registered at ``hook``; False means DROP.
-
-        A quiet hook, where every chain is empty with an ACCEPT policy,
-        only counts the packet against each policy.
-        """
-        chains = self._hook_chains[hook]
-        for chain in chains:
-            if chain.rules or chain.policy is not _ACCEPT:
-                return self._run(chains, hook, packet, in_iface, out_iface, now)
-        for chain in chains:
-            chain.policy_packets += 1
-        return True
+        """Run every table registered at ``hook``; False means DROP."""
+        return self._run(self._hook_chains[hook], hook, packet, in_iface, out_iface, now)
 
     def run_chain(
         self,
@@ -257,9 +286,6 @@ class Netfilter:
         chain = self.tables[table].chains.get(hook)
         if chain is None:
             return True
-        if not chain.rules and chain.policy is _ACCEPT:
-            chain.policy_packets += 1
-            return True
         return self._run((chain,), hook, packet, in_iface, out_iface, now)
 
     def _run(
@@ -273,25 +299,16 @@ class Netfilter:
     ) -> bool:
         """Traverse built-in ``chains`` in order; False means DROP.
 
-        A chain with no rules costs one check: it counts the packet
-        against its policy and returns it.  The :class:`PacketContext`
-        is built only when some chain has rules to look at it, and a
-        mark change is noted only when a metrics registry is bound.
+        A mark change is noted only when a metrics registry is bound.
         """
-        ctx = None
+        ctx = PacketContext(packet, hook, in_iface, out_iface, now)
         mark_before = packet.mark
         for chain in chains:
-            if chain.rules:
-                if ctx is None:
-                    ctx = PacketContext(packet, hook, in_iface, out_iface, now)
-                verdict = chain.traverse(ctx)
-            else:
-                chain.policy_packets += 1
-                verdict = chain.policy
-            if verdict is Verdict.DROP:
-                self._note_drop(packet, hook)
+            if chain.traverse(ctx) is Verdict.DROP:
+                self.dropped += 1
+                if self.metrics is not None:
+                    self._count_xid(self.metrics, "dropped", packet.xid)
                 return False
-        metrics = self.metrics
-        if metrics is not None:
-            self._note_mark(metrics, packet, mark_before)
+        if self.metrics is not None and packet.mark != mark_before:
+            self._count_xid(self.metrics, "marked", packet.xid)
         return True

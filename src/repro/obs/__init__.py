@@ -41,7 +41,7 @@ Quick start::
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.obs.exporter import render_openmetrics, write_openmetrics
 from repro.obs.metrics import (
@@ -87,6 +87,7 @@ class Observability:
         self.flight = FlightRecorder(capacity=flight_capacity)
         self.trace.attach(self.flight)
         self.profiler: Optional[SimProfiler] = None
+        self._bound: List = []
         sim.trace = self.trace
         sim.metrics = self.metrics
 
@@ -103,6 +104,7 @@ class Observability:
     def bind_node(self, node) -> None:
         """Point a node's netfilter mark/drop counters at the registry."""
         node.stack.netfilter.metrics = self.metrics
+        self._bound.append(node.stack.netfilter)
 
     def record_events(self) -> ListSink:
         """Attach and return an in-memory :class:`ListSink`."""
@@ -121,10 +123,13 @@ class Observability:
         return render_openmetrics(self.metrics, include_volatile=include_volatile)
 
     def detach(self) -> None:
-        """Remove the hooks from the simulator (instrumentation goes cold)."""
+        """Unhook the simulator and every bound node (instrumentation goes cold)."""
         self.sim.trace = None
         self.sim.metrics = None
         self.sim.profile = None
+        for netfilter in self._bound:
+            if netfilter.metrics is self.metrics:
+                netfilter.metrics = None
 
 
 __all__ = [

@@ -6,9 +6,10 @@ traffic generator all schedule events on a single :class:`Simulator`.
 
 The engine is deliberately small and deterministic:
 
-- a binary heap of timestamped events with a monotonic sequence-number
-  tiebreak, so two events at the same instant always fire in the order
-  they were scheduled;
+- a time-bucketed event store: a heap of bare timestamps, and per
+  pending instant a bucket of its events in insertion order, so two
+  events at the same instant always fire in the order they were
+  scheduled;
 - generator-based *processes* (:class:`Process`) for sequential logic
   (``yield 0.5`` sleeps, ``yield signal`` blocks on a
   :class:`Signal`);

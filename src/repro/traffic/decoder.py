@@ -20,12 +20,17 @@ add their floats in the same left-to-right order on every CPython:
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.sim.monitor import TimeSeries, ordered_sum, window_fold
 from repro.traffic.records import ReceiverLog, SenderLog
 
 DEFAULT_WINDOW = 0.2
+
+# C-level sort keys: no Python call per record.
+_ARRIVAL_TIME = attrgetter("received_at")
+_SEND_TIME = attrgetter("sent_at")
 
 
 class FlowSummary(NamedTuple):
@@ -95,7 +100,7 @@ class ItgDecoder:
 
     def _arrivals(self):
         """Received records in arrival order (logs may interleave)."""
-        return sorted(self.receiver_log.received, key=lambda r: r.received_at)
+        return sorted(self.receiver_log.received, key=_ARRIVAL_TIME)
 
     def _windowed(
         self,
@@ -111,13 +116,11 @@ class ItgDecoder:
 
     def bitrate_kbps(self, end: Optional[float] = None) -> TimeSeries:
         """Received payload bitrate per window, in kbit/s."""
+        origin = self.origin
         series = self._windowed(
             "bitrate_kbps",
-            (
-                (record.received_at - self.origin, record.size * 8.0)
-                for record in self._arrivals()
-            ),
-            self._span(end) - self.origin,
+            ((record.received_at - origin, record.size * 8.0) for record in self._arrivals()),
+            self._span(end) - origin,
             mean=False,
         )
         series.values = [bits / self.window / 1000.0 for bits in series.values]
@@ -125,41 +128,38 @@ class ItgDecoder:
 
     def owd_series(self, end: Optional[float] = None) -> TimeSeries:
         """Mean one-way delay per window, in seconds."""
+        origin = self.origin
         return self._windowed(
             "owd",
-            (
-                (record.received_at - self.origin, record.owd)
-                for record in self._arrivals()
-            ),
-            self._span(end) - self.origin,
+            ((record.received_at - origin, record.owd) for record in self._arrivals()),
+            self._span(end) - origin,
             mean=True,
         )
 
-    def _jitter_samples(self) -> Iterable[Tuple[float, float]]:
+    def _jitter_samples(self, origin: float) -> Iterable[Tuple[float, float]]:
         previous_owd = None
         for record in self._arrivals():
             if previous_owd is not None:
-                yield record.received_at - self.origin, abs(record.owd - previous_owd)
+                yield record.received_at - origin, abs(record.owd - previous_owd)
             previous_owd = record.owd
 
     def jitter_series(self, end: Optional[float] = None) -> TimeSeries:
         """Mean |OWD variation| between consecutive arrivals, per window."""
+        origin = self.origin
         return self._windowed(
-            "jitter", self._jitter_samples(), self._span(end) - self.origin, mean=True
+            "jitter", self._jitter_samples(origin), self._span(end) - origin, mean=True
         )
 
     def loss_series(self, end: Optional[float] = None) -> TimeSeries:
         """Packets lost per window (binned by send time)."""
+        origin, has_seq = self.origin, self.receiver_log.has_seq
         return self._windowed(
             "loss",
             (
-                (
-                    record.sent_at - self.origin,
-                    0.0 if self.receiver_log.has_seq(record.seq) else 1.0,
-                )
-                for record in sorted(self.sender_log.sent, key=lambda r: r.sent_at)
+                (record.sent_at - origin, 0.0 if has_seq(record.seq) else 1.0)
+                for record in sorted(self.sender_log.sent, key=_SEND_TIME)
             ),
-            self.send_end - self.origin + self.window,
+            self.send_end - origin + self.window,
             mean=False,
         )
 
@@ -169,10 +169,11 @@ class ItgDecoder:
             (record.completed_at - record.rtt, record.rtt)
             for record in self.sender_log.rtt
         )
+        origin = self.origin
         return self._windowed(
             "rtt",
-            ((sent_at - self.origin, rtt) for sent_at, rtt in samples),
-            self.send_end - self.origin + self.window,
+            ((sent_at - origin, rtt) for sent_at, rtt in samples),
+            self.send_end - origin + self.window,
             mean=True,
         )
 

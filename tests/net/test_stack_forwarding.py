@@ -133,3 +133,26 @@ def test_forwarded_ttl_decrements():
     alice.socket().sendto("x", 10, "10.2.0.2", 9)
     sim.run(until=2.0)
     assert seen == [63]
+
+
+def test_quiet_forwarding_hop_walks_no_hook_until_a_policy_write():
+    sim = Simulator()
+    alice, router, bob = build_router_world(sim)
+    netfilter = router.netfilter
+    walks = []
+    for name in ("run_hook", "run_chain"):
+        walk = getattr(netfilter, name)
+        setattr(netfilter, name, lambda *a, walk=walk, **k: walks.append(a[0]) or walk(*a, **k))
+    bob_got = server_on(bob)
+    alice.socket().sendto("x", 10, "10.2.0.2", 9)
+    sim.run(until=2.0)
+    assert bob_got == ["x"]
+    assert walks == []
+    assert netfilter.forward.crossings == 1
+    router.iptables.run("-P FORWARD DROP")
+    alice.socket().sendto("y", 10, "10.2.0.2", 9)
+    sim.run(until=4.0)
+    assert bob_got == ["x"]
+    assert walks == ["FORWARD"]
+    assert router.dropped_filter == 1
+    assert netfilter.table("filter").chain("FORWARD").policy_packets == 2

@@ -1,28 +1,41 @@
 """Differential test: the hook dispatcher against a reference traversal.
 
 The reference builds a :class:`PacketContext` for every chain it
-crosses and interprets matches, rules, targets and policies itself,
-the way the dispatcher worked before empty chains got their one-check
-fast path and quiet hooks their early exit.  It tests addresses with
-:mod:`ipaddress` ``in`` rather than the matches' integer prefixes.
-Random rule sets, with every match kind plain and inverted and some
-empty chains under a DROP policy, run through both on twin
-:class:`Netfilter` instances must give the same verdicts, packet
-marks, rule counters and policy counters.
+crosses, ignores the quiet flags and interprets matches, rules,
+targets and policies itself.  It tests addresses with
+:mod:`ipaddress` ``in`` rather than the matches' integer prefixes, and
+keeps its own policy counters.  Random rule sets, with every match
+kind plain and inverted and some empty chains under a DROP policy,
+run through both on twin :class:`Netfilter` instances.  Packets are
+interleaved with ``-A``/``-I``/``-D``/``-F``/``-P`` writes, made
+through :class:`Iptables` (command text or typed calls) or the
+:class:`Chain` methods, and the fast twin is dispatched the way
+:class:`~repro.net.IPStack` does it: the site's quiet flag first, the
+walk only when the site has work.  Both must give the same verdicts,
+packet marks, rule counters and policy counters, and every quiet flag
+must say whether its chains are all empty with an ACCEPT policy.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.addressing import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from repro.net.packet import Packet
 from repro.netfilter.chains import (
+    HOOK_FORWARD,
+    HOOK_INPUT,
+    HOOK_OUTPUT,
+    HOOK_POSTROUTING,
+    HOOK_PREROUTING,
     HOOK_TABLE_ORDER,
     TABLE_CHAINS,
     Netfilter,
     PacketContext,
     Rule,
 )
-from repro.net.addressing import PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from repro.netfilter.iptables import Iptables
 from repro.netfilter.matches import (
     DestinationMatch,
     DportMatch,
@@ -83,25 +96,74 @@ rule_sets = st.fixed_dictionaries(
         "empty_drops": st.sets(st.sampled_from(BUILTIN), max_size=2),
     }
 )
-calls = st.lists(
-    st.tuples(
-        # None: the whole hook (run_hook); a table name: run_chain.
-        st.sampled_from(list(HOOK_TABLE_ORDER)),
-        st.sampled_from([None, "mangle", "filter"]),
-        st.sampled_from(DESTINATIONS),
-        st.sampled_from(SOURCES),
-        st.sampled_from(PROTOCOLS),
-        st.sampled_from(SPORTS),
-        st.sampled_from(DPORTS),
-        st.sampled_from([0, 510]),
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=1472),
-        st.sampled_from(IFACES),
-        st.sampled_from(IFACES),
-    ),
-    min_size=1,
-    max_size=8,
+packets = st.tuples(
+    st.just("packet"),
+    # None: the whole hook (run_hook); a table name: run_chain.
+    st.sampled_from(list(HOOK_TABLE_ORDER)),
+    st.sampled_from([None, "mangle", "filter"]),
+    st.sampled_from(DESTINATIONS),
+    st.sampled_from(SOURCES),
+    st.sampled_from(PROTOCOLS),
+    st.sampled_from(SPORTS),
+    st.sampled_from(DPORTS),
+    st.sampled_from([0, 510]),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=1472),
+    st.sampled_from(IFACES),
+    st.sampled_from(IFACES),
 )
+# A write: (operation, (table, chain), argument, through iptables text?).
+# ``-F`` with chain None flushes the whole table.
+writes = st.one_of(
+    st.tuples(st.just("-A"), st.sampled_from(BUILTIN), rules, st.booleans()),
+    st.tuples(
+        st.just("-I"),
+        st.sampled_from(BUILTIN),
+        st.tuples(rules, st.integers(min_value=0, max_value=3)),
+        st.booleans(),
+    ),
+    st.tuples(
+        st.just("-D"),
+        st.sampled_from(BUILTIN),
+        st.integers(min_value=0, max_value=7),
+        st.booleans(),
+    ),
+    st.tuples(
+        st.just("-F"),
+        st.sampled_from(BUILTIN + [(table, None) for table in TABLE_CHAINS]),
+        st.none(),
+        st.booleans(),
+    ),
+    st.tuples(
+        st.just("-P"),
+        st.sampled_from(BUILTIN),
+        st.sampled_from(["ACCEPT", "DROP"]),
+        st.booleans(),
+    ),
+)
+steps = st.lists(st.one_of(packets, writes), min_size=1, max_size=16)
+
+#: The sites IPStack tests before it dispatches, by (hook, table).
+SITES = {
+    (HOOK_PREROUTING, None): "prerouting",
+    (HOOK_INPUT, None): "input",
+    (HOOK_FORWARD, None): "forward",
+    (HOOK_POSTROUTING, None): "postrouting",
+    (HOOK_OUTPUT, "mangle"): "mangle_output",
+    (HOOK_OUTPUT, "filter"): "filter_output",
+}
+OPTIONS = {
+    "d": "-d",
+    "s": "-s",
+    "p": "-p",
+    "i": "-i",
+    "o": "-o",
+    "sport": "--sport",
+    "dport": "--dport",
+    "xid": "-m xid --xid",
+    "mark": "-m mark --mark",
+}
+PROTO_NAMES = {PROTO_ICMP: "icmp", PROTO_TCP: "tcp", PROTO_UDP: "udp"}
 
 
 MATCH_KINDS = {
@@ -146,28 +208,39 @@ def reference_match(match, ctx):
     return not hit if match.invert else hit
 
 
+def make_rule(netfilter, table, spec):
+    """A Rule for ``netfilter``; JUMP targets its table's user chain."""
+    match_specs, (kind, value) = spec
+    if kind == "MARK":
+        target = MarkTarget(value)
+    elif kind == "JUMP":
+        target = JumpTarget(netfilter.table(table).chain(USER_CHAIN))
+    else:
+        target = AcceptTarget() if kind == "ACCEPT" else DropTarget()
+    return Rule([make_match(m) for m in match_specs], target)
+
+
+def rule_text(spec):
+    """The iptables clauses of a non-JUMP rule spec."""
+    match_specs, (kind, value) = spec
+    words = []
+    for (match, argument), invert in match_specs:
+        if invert:
+            words.append("!")
+        words += [OPTIONS[match], PROTO_NAMES[argument] if match == "p" else str(argument)]
+    words += ["-j", kind] + (["--set-mark", str(value)] if kind == "MARK" else [])
+    return " ".join(words)
+
+
 def build(rule_sets):
     """A fresh Netfilter holding the described rules and policies."""
     netfilter = Netfilter()
     for table in TABLE_CHAINS:
         netfilter.table(table).new_chain(USER_CHAIN)
-
-    def add(table, chain, spec):
-        match_specs, (kind, value) = spec
-        if kind == "MARK":
-            target = MarkTarget(value)
-        elif kind == "JUMP":
-            target = JumpTarget(netfilter.table(table).chain(USER_CHAIN))
-        else:
-            target = AcceptTarget() if kind == "ACCEPT" else DropTarget()
-        netfilter.table(table).chain(chain).append(
-            Rule([make_match(m) for m in match_specs], target)
-        )
-
     for table, spec in rule_sets["user"]:
-        add(table, USER_CHAIN, spec)
+        netfilter.table(table).chain(USER_CHAIN).append(make_rule(netfilter, table, spec))
     for (table, hook), spec in rule_sets["builtin"]:
-        add(table, hook, spec)
+        netfilter.table(table).chain(hook).append(make_rule(netfilter, table, spec))
     for table, hook in rule_sets["drop_policies"]:
         netfilter.table(table).chain(hook).policy = Verdict.DROP
     for table, hook in rule_sets["empty_drops"]:
@@ -176,7 +249,58 @@ def build(rule_sets):
     return netfilter
 
 
-def reference_traverse(chain, ctx):
+def write(netfilter, ipt, texts, step):
+    """Apply one write; ``texts`` remembers the clauses of text-made rules."""
+    op, (table, name), argument, as_text = step
+    chain = None if name is None else netfilter.table(table).chain(name)
+    if op in ("-A", "-I"):
+        spec, index = (argument, 0) if op == "-A" else argument
+        if as_text and spec[1][0] != "JUMP":
+            where = name if op == "-A" else f"{name} {index + 1}"
+            rule = ipt.run(f"iptables -t {table} {op} {where} {rule_text(spec)}")
+            texts[rule] = rule_text(spec)
+        elif op == "-A":
+            chain.append(make_rule(netfilter, table, spec))
+        else:
+            chain.insert(make_rule(netfilter, table, spec), index)
+    elif op == "-D":
+        if not chain.rules:
+            return
+        rule = chain.rules[argument % len(chain.rules)]
+        if not as_text:
+            chain.delete(rule)
+        elif rule in texts:
+            ipt.run(f"iptables -t {table} -D {name} {texts[rule]}")
+        else:
+            ipt.delete(table, name, rule)
+    elif op == "-F":
+        if as_text:
+            ipt.run(f"iptables -t {table} -F" + ("" if name is None else f" {name}"))
+        else:
+            for each in netfilter.table(table).chains.values() if chain is None else [chain]:
+                each.flush()
+    elif as_text:
+        ipt.run(f"iptables -t {table} -P {name} {argument}")
+    else:
+        chain.policy = Verdict(argument)
+
+
+def dispatch(netfilter, hook, table, packet, in_iface, out_iface):
+    """Run one packet the way IPStack does: a quiet site only counts it."""
+    name = SITES.get((hook, table))
+    if name is not None:
+        site = getattr(netfilter, name)
+        if site.quiet:
+            site.crossings += 1
+            return True
+    if table is None:
+        return netfilter.run_hook(hook, packet, in_iface=in_iface, out_iface=out_iface, now=0.0)
+    return netfilter.run_chain(
+        table, hook, packet, in_iface=in_iface, out_iface=out_iface, now=0.0
+    )
+
+
+def reference_traverse(chain, ctx, hits):
     """Verdict of one chain, or None when a user chain falls through."""
     for rule in chain.rules:
         if not all(reference_match(match, ctx) for match in rule.matches):
@@ -187,55 +311,90 @@ def reference_traverse(chain, ctx):
         if isinstance(target, MarkTarget):
             ctx.packet.mark = target.mark
         elif isinstance(target, JumpTarget):
-            verdict = reference_traverse(target.chain, ctx)
+            verdict = reference_traverse(target.chain, ctx, hits)
             if verdict is not None:
                 return verdict
         else:
             return Verdict.ACCEPT if isinstance(target, AcceptTarget) else Verdict.DROP
     if chain.policy is None:
         return None
-    chain.policy_packets += 1
+    hits[chain] += 1
     return chain.policy
 
 
-def reference_run(netfilter, hook, table, packet, in_iface, out_iface):
+def reference_run(netfilter, hits, hook, table, packet, in_iface, out_iface):
     """One hook (``table`` None) or one table's chain; False is DROP."""
     for name in HOOK_TABLE_ORDER[hook] if table is None else [table]:
         chain = netfilter.tables[name].chains.get(hook)
         if chain is None:
             continue
         ctx = PacketContext(packet, hook, in_iface=in_iface, out_iface=out_iface, now=0.0)
-        if reference_traverse(chain, ctx) == Verdict.DROP:
+        if reference_traverse(chain, ctx, hits) == Verdict.DROP:
             netfilter.dropped += 1
             return False
     return True
 
 
-def counters(netfilter):
+def counters(netfilter, policy_count):
     return [
-        (table.name, chain.name, chain.policy_packets, [(r.packets, r.bytes) for r in chain.rules])
+        (table.name, chain.name, policy_count(chain), [(r.packets, r.bytes) for r in chain.rules])
         for table in netfilter.tables.values()
         for chain in table.chains.values()
     ]
 
 
-@given(rule_sets, calls)
+def quiet_flags(netfilter):
+    return {name: getattr(netfilter, name).quiet for name in SITES.values()}
+
+
+def expected_quiet(netfilter):
+    """Per site: every chain it crosses is empty with an ACCEPT policy."""
+    return {
+        name: all(
+            not netfilter.tables[t].chains[hook].rules
+            and netfilter.tables[t].chains[hook].policy == Verdict.ACCEPT
+            for t in (HOOK_TABLE_ORDER[hook] if table is None else [table])
+        )
+        for (hook, table), name in SITES.items()
+    }
+
+
+@given(rule_sets, steps)
 @settings(max_examples=300, deadline=None)
-def test_hook_dispatch_matches_reference(rule_sets, calls):
+def test_hook_dispatch_matches_reference(rule_sets, steps):
     fast, reference = build(rule_sets), build(rule_sets)
-    for hook, table, dst, src, proto, sport, dport, xid, mark, size, in_iface, out_iface in calls:
+    twins = [(fast, Iptables(fast), {}), (reference, Iptables(reference), {})]
+    hits = Counter()
+    assert quiet_flags(fast) == expected_quiet(reference)
+    for step in steps:
+        if step[0] != "packet":
+            for netfilter, ipt, texts in twins:
+                write(netfilter, ipt, texts, step)
+            assert quiet_flags(fast) == expected_quiet(reference)
+            continue
+        _, hook, table, dst, src, proto, sport, dport, xid, mark, size, in_iface, out_iface = step
         fields = dict(src=src, proto=proto, sport=sport, dport=dport, size=size, xid=xid)
         got_packet = Packet(dst, **fields)
         want_packet = Packet(dst, **fields)
         got_packet.mark = want_packet.mark = mark
-        if table is None:
-            got = fast.run_hook(hook, got_packet, in_iface=in_iface, out_iface=out_iface, now=0.0)
-        else:
-            got = fast.run_chain(
-                table, hook, got_packet, in_iface=in_iface, out_iface=out_iface, now=0.0
-            )
-        want = reference_run(reference, hook, table, want_packet, in_iface, out_iface)
+        got = dispatch(fast, hook, table, got_packet, in_iface, out_iface)
+        want = reference_run(reference, hits, hook, table, want_packet, in_iface, out_iface)
         assert got == want
         assert got_packet.mark == want_packet.mark
-    assert counters(fast) == counters(reference)
+        assert counters(fast, lambda c: c.policy_packets) == counters(reference, hits.__getitem__)
     assert fast.dropped == reference.dropped
+
+
+def test_drop_policy_set_then_reset_on_a_quiet_site():
+    netfilter = Netfilter()
+    ipt = Iptables(netfilter)
+    packet = Packet("10.0.0.1")
+    ipt.run("iptables -P FORWARD DROP")
+    assert not netfilter.forward.quiet
+    assert dispatch(netfilter, HOOK_FORWARD, None, packet, "eth0", "eth1") is False
+    ipt.run("iptables -P FORWARD ACCEPT")
+    assert netfilter.forward.quiet
+    assert dispatch(netfilter, HOOK_FORWARD, None, packet, "eth0", "eth1") is True
+    assert netfilter.forward.crossings == 1
+    for table in ("mangle", "filter"):
+        assert netfilter.table(table).chain(HOOK_FORWARD).policy_packets == 2

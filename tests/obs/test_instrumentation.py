@@ -123,3 +123,21 @@ def test_no_sink_leaves_no_footprint():
     cold_result = run_demo(cold)
     assert cold_result.lines == bare_result.lines
     assert cold.sim.now == bare.sim.now
+
+
+def test_detach_unbinds_the_nodes():
+    # A detached registry must not keep counting marked slice packets.
+    scenario = OneLabScenario(seed=3)
+    obs = Observability(scenario.sim)
+    obs.bind_node(scenario.napoli)
+    obs.detach()
+    before = obs.metrics.snapshot()
+    umts = scenario.umts_command()
+    assert umts.start_blocking().ok
+    umts.add_destination_blocking(scenario.inria_addr)
+    sock = scenario.napoli_sliver.socket()
+    for _ in range(5):
+        sock.sendto("probe", 10, scenario.inria_addr, 7777)
+    scenario.sim.run(until=scenario.sim.now + 2.0)
+    assert obs.metrics.snapshot() == before
+    assert scenario.napoli.stack.netfilter.metrics is None

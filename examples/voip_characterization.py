@@ -20,23 +20,7 @@ Run with::
 import sys
 
 from repro import PATH_ETHERNET, PATH_UMTS, run_characterization, voip_g711
-
-
-def sparkline(series, scale=None) -> str:
-    """A terminal rendering of a windowed series."""
-    blocks = " .:-=+*#%@"
-    values = [v for v in series.values if v == v]  # drop NaN
-    if not values:
-        return "(no samples)"
-    top = scale if scale is not None else max(values) or 1.0
-    out = []
-    for value in series.values:
-        if value != value:
-            out.append(" ")
-        else:
-            index = min(len(blocks) - 1, int(value / top * (len(blocks) - 1)))
-            out.append(blocks[index])
-    return "".join(out)
+from repro.analysis.figures import sparkline
 
 
 def downsample(series, buckets=72):
@@ -63,13 +47,9 @@ def main() -> None:
     for title, accessor, unit in figures:
         print(f"\n{title}")
         for label, result in (("UMTS", umts), ("eth ", ethernet)):
-            series = downsample(getattr(result, accessor)())
-            shown = [v * unit for v in series.values if v == v]
-            scaled = series
-            scaled.values = [
-                v * unit if v == v else v for v in series.values
-            ]
-            print(f"  {label} |{sparkline(scaled)}|")
+            series = getattr(result, accessor)()
+            shown = [v * unit for v in downsample(series).values if v == v]
+            print(f"  {label} |{sparkline(series)}|")
             print(
                 f"       mean={sum(shown) / len(shown):8.2f}  "
                 f"max={max(shown):8.2f}"

@@ -1,12 +1,12 @@
 """Stable digests of simulated outputs.
 
-The optimization passes this subsystem gates (engine fast path, HDLC
-tables, RNG samplers) must never change *what* the simulation
-computes, only how fast.  :func:`run_digest` folds everything a
-characterization run produces — the sender/receiver packet logs, the
-RTT records, the end-of-run summary, all four figure series, and the
-RAB grade history — into one SHA-256, so "bit-identical results" is a
-single string comparison.  ``repr`` of Python floats is
+The optimization passes this subsystem gates (engine fast path, RNG
+samplers) must never change *what* the simulation computes, only how
+fast.  :func:`run_digest` folds everything a characterization run
+produces — the sender/receiver packet logs, the RTT records, the
+end-of-run summary, all four figure series, and the RAB grade
+history — into one SHA-256, so "bit-identical results" is a single
+string comparison.  ``repr`` of Python floats is
 shortest-round-trip, and every float total in these outputs is added
 left to right by :func:`repro.sim.monitor.window_fold` or
 :func:`repro.sim.monitor.ordered_sum` rather than builtin ``sum()``

@@ -1,11 +1,11 @@
 """Bounded retry with exponential backoff and deterministic jitter.
 
 Every component that retries — comgt's CREG poll, the connection
-manager's registration/dial phases, the DNS stub resolver, the
-connection supervisor — drives its attempts through a
-:class:`RetryPolicy` instead of hand-rolled ``range()`` loops and
-sleeps (enforced by the ``retry-policy`` lint rule).  Jitter draws come
-from :mod:`repro.sim.rng` named streams, so a faulted run's recovery
+manager's registration/dial phases, the connection supervisor —
+drives its attempts through a :class:`RetryPolicy` instead of
+hand-rolled ``range()`` loops and sleeps (enforced by the
+``retry-policy`` lint rule).  Jitter draws come from
+:mod:`repro.sim.rng` named streams, so a faulted run's recovery
 timeline is a pure function of the experiment seed.
 
 Failure classification is textual on purpose: comgt and wvdial report

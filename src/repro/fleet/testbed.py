@@ -101,7 +101,6 @@ class FleetGroup:
                 ]
             for slice_spec in spec.slices:
                 node.authorize_umts(slice_spec.name)
-            self.operator.dns.add_record(node_spec.name, node_spec.address)
             self.nodes.append(node)
 
     def pairs(self) -> List[Tuple[PlanetLabNode, PlanetLabNode]]:

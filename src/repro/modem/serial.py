@@ -2,9 +2,9 @@
 
 The port carries Python objects: strings are command/response lines
 (the AT dialogue), :class:`~repro.ppp.frame.PPPFrame` objects are the
-data-mode traffic.  Byte-level framing is modelled separately
-(:mod:`repro.ppp.hdlc`); carrying parsed objects keeps the tools'
-logic readable without changing any behaviour the experiments see.
+data-mode traffic.  Byte-level framing is not modelled: carrying
+parsed objects keeps the tools' logic readable without changing any
+behaviour the experiments see.
 
 Fault modes on the modem → host direction:
 

@@ -25,7 +25,6 @@ from repro.net.errors import (
     NoRouteError,
     PermissionDeniedError,
 )
-from repro.net.dns import DnsAnswer, DnsQuery, DnsResolver, DnsServer, ResolutionError
 from repro.net.icmp import IcmpEcho, Pinger
 from repro.net.interface import (
     EthernetInterface,
@@ -44,11 +43,6 @@ __all__ = [
     "CaptureFilter",
     "CapturedPacket",
     "Channel",
-    "DnsAnswer",
-    "DnsQuery",
-    "DnsResolver",
-    "DnsServer",
-    "ResolutionError",
     "Sniffer",
     "DEFAULT_NETWORK",
     "EthernetInterface",

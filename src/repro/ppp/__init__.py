@@ -5,8 +5,6 @@ The paper's node needs the full PPP kernel module set
 wvdial.  This package reproduces the protocol machinery:
 
 - :mod:`repro.ppp.frame` — PPP frames and the LCP/IPCP control packets;
-- :mod:`repro.ppp.hdlc` — the HDLC-like byte framing (flag/escape
-  octets), exercised by property tests as the wire encoding;
 - :mod:`repro.ppp.fsm` — the RFC 1661 option-negotiation automaton
   (simplified but with retransmission and Term-Req/Ack teardown);
 - :mod:`repro.ppp.lcp` / :mod:`repro.ppp.ipcp` — the two control
@@ -26,18 +24,14 @@ from repro.ppp.frame import (
     PPPFrame,
 )
 from repro.ppp.fsm import FsmState
-from repro.ppp.hdlc import HdlcError, hdlc_decode, hdlc_encode
 
 __all__ = [
     "ControlPacket",
     "FsmState",
-    "HdlcError",
     "PPPFrame",
     "PPP_IP",
     "PPP_IPCP",
     "PPP_LCP",
     "Pppd",
     "PppError",
-    "hdlc_decode",
-    "hdlc_encode",
 ]

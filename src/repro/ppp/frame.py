@@ -1,20 +1,14 @@
 """PPP frames and control packets.
 
-Besides the object-level :class:`PPPFrame` the simulation moves
-around, this module provides the byte-level protocol-field codec used
-with :mod:`repro.ppp.hdlc`: :func:`pack_protocol` /
-:func:`unpack_protocol` and the :func:`frame_info` /
-:func:`deframe_info` round-trip.  The pack side is a 65536-entry lazy
-cache of two-byte headers (the three PPP protocols we emit are
-precomputed), and the parse side slices a :class:`memoryview` instead
-of copying the information field.
+The simulation moves frames as objects, never as octets: a
+:class:`PPPFrame` carries its protocol number and a parsed payload,
+and :attr:`PPPFrame.wire_length` stands in for the octet count when
+a link computes serialization time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
-
-from repro.ppp.hdlc import hdlc_decode, hdlc_encode
+from typing import Any, Dict, Optional
 
 #: PPP protocol field values (RFC 1661 / assigned numbers).
 PPP_IP = 0x0021
@@ -48,9 +42,8 @@ CODE_NAMES = {
 class ControlPacket:
     """An LCP or IPCP packet: code, identifier, option dictionary.
 
-    Options are a name→value mapping rather than packed TLVs; the
-    HDLC layer (see :mod:`repro.ppp.hdlc`) shows what the octets would
-    look like, but negotiation logic is clearer over parsed options.
+    Options are a name→value mapping rather than packed TLVs:
+    negotiation logic is clearer over parsed options.
     """
 
     __slots__ = ("code", "identifier", "options")
@@ -92,48 +85,3 @@ class PPPFrame:
 
     def __repr__(self) -> str:
         return f"<PPPFrame proto={self.protocol:#06x} {self.payload!r}>"
-
-
-class FrameError(Exception):
-    """Malformed PPP byte frame (bad protocol field or truncation)."""
-
-
-#: Protocol number → packed big-endian header, filled lazily; the
-#: protocols the stack actually emits are seeded up front so the hot
-#: path never misses.
-_PROTOCOL_CACHE: Dict[int, bytes] = {
-    proto: proto.to_bytes(2, "big") for proto in (PPP_IP, PPP_LCP, PPP_IPCP)
-}
-
-
-def pack_protocol(protocol: int) -> bytes:
-    """The two-byte big-endian PPP protocol field, cached per protocol."""
-    header = _PROTOCOL_CACHE.get(protocol)
-    if header is None:
-        if not 0 <= protocol <= 0xFFFF:
-            raise FrameError(f"protocol {protocol!r} does not fit in 16 bits")
-        header = _PROTOCOL_CACHE[protocol] = protocol.to_bytes(2, "big")
-    return header
-
-
-def unpack_protocol(data: bytes) -> Tuple[int, memoryview]:
-    """Split ``protocol || information`` without copying the information.
-
-    Returns the protocol number and a :class:`memoryview` over the
-    information field; callers that need ``bytes`` convert explicitly.
-    """
-    if len(data) < 2:
-        raise FrameError("frame shorter than the 2-byte protocol field")
-    view = memoryview(data)
-    return (data[0] << 8) | data[1], view[2:]
-
-
-def frame_info(protocol: int, info: bytes) -> bytes:
-    """HDLC-frame an information field under a PPP protocol number."""
-    return hdlc_encode(pack_protocol(protocol) + info)
-
-
-def deframe_info(frame: bytes) -> Tuple[int, bytes]:
-    """Inverse of :func:`frame_info`; validates FCS and the protocol field."""
-    protocol, info = unpack_protocol(hdlc_decode(frame))
-    return protocol, bytes(info)

@@ -132,8 +132,6 @@ class GrammarHarness:
             self.serving.connect_to_internet(
                 testbed.internet.router, VISITED_GGSN_ADDR, VISITED_ROUTER_ADDR
             )
-            self.serving.dns.add_record(testbed.napoli.name, testbed.napoli_addr)
-            self.serving.dns.add_record(testbed.inria.name, testbed.inria_addr)
             testbed.napoli.modem.plug_into(self.serving.new_cell(roaming=True))
 
         # Handover targets: one fresh cell per event, created up front

@@ -16,16 +16,16 @@ configs are the models):
 - :class:`RemoteSimSpec` — MobileAtlas-style remote-SIM tunnelling:
   AT-command latency and loss injected at the modem serial layer.
 
-Specs validate eagerly on construction (a typo can never produce a
-scenario that silently does nothing) and round-trip through JSON-safe
-payloads exactly like :mod:`repro.fleet.spec`, so fleet node specs and
-campaign job payloads can carry them.
+Specs validate eagerly on construction, so a typo can never produce a
+scenario that silently does nothing.  Fleet node specs and campaign
+job payloads carry grammar-point names, never specs (see
+:mod:`repro.scenarios.grammar`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Dict, Tuple
 
 #: Uplink rate each radio access technology sustains, in bit/s,
 #: ascending.  The ladder a spec names must be a subsequence of this
@@ -209,67 +209,3 @@ class ScenarioSpec:
             FaultPlan.from_spec(*self.remote_sim.fault_specs())
         except FaultSpecError as exc:  # pragma: no cover - defensive
             raise ScenarioSpecError(f"remote-SIM faults invalid: {exc}") from exc
-
-    # -- JSON round-trip (the fleet/job payload format) ----------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """A JSON-safe dict describing this spec exactly."""
-        return {
-            "name": self.name,
-            "ladder": {
-                "rats": list(self.ladder.rats),
-                "initial": self.ladder.initial,
-                "moves": [[at, target] for at, target in self.ladder.moves],
-            },
-            "handover": {
-                "events": [[at, csq] for at, csq in self.handover.events],
-            },
-            "roaming": {"visit": self.roaming.visit},
-            "remote_sim": {
-                "tunnel": self.remote_sim.tunnel,
-                "latency": self.remote_sim.latency,
-                "loss_count": self.remote_sim.loss_count,
-            },
-            "hold": self.hold,
-            "deadline": self.deadline,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_payload` output (validates)."""
-        try:
-            ladder = payload.get("ladder", {})
-            handover = payload.get("handover", {})
-            roaming = payload.get("roaming", {})
-            remote = payload.get("remote_sim", {})
-            return cls(
-                name=payload["name"],
-                ladder=RateLadderSpec(
-                    rats=tuple(ladder.get("rats", ("umts",))),
-                    initial=int(ladder.get("initial", 0)),
-                    moves=tuple(
-                        (float(at), int(target))
-                        for at, target in ladder.get("moves", ())
-                    ),
-                ),
-                handover=HandoverSpec(
-                    events=tuple(
-                        (float(at), int(csq))
-                        for at, csq in handover.get("events", ())
-                    ),
-                ),
-                roaming=RoamingSpec(visit=bool(roaming.get("visit", False))),
-                remote_sim=RemoteSimSpec(
-                    tunnel=bool(remote.get("tunnel", False)),
-                    latency=float(remote.get("latency", 0.0)),
-                    loss_count=int(remote.get("loss_count", 0)),
-                ),
-                hold=float(payload.get("hold", 60.0)),
-                deadline=float(payload.get("deadline", 600.0)),
-                seed=int(payload.get("seed", 3)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ScenarioSpecError):
-                raise
-            raise ScenarioSpecError(f"malformed scenario payload: {exc}") from exc

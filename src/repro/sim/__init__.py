@@ -23,30 +23,23 @@ from repro.sim.errors import SimulationError
 from repro.sim.monitor import TimeSeries
 from repro.sim.process import Interrupt, Process, Signal, Store, spawn
 from repro.sim.rng import (
-    CauchyVariate,
     ConstantVariate,
     Distribution,
     ExponentialVariate,
-    GammaVariate,
     LogNormalVariate,
     NormalVariate,
-    ParetoVariate,
     RandomStreams,
     UniformVariate,
-    WeibullVariate,
 )
 
 __all__ = [
-    "CauchyVariate",
     "ConstantVariate",
     "Distribution",
     "Event",
     "ExponentialVariate",
-    "GammaVariate",
     "Interrupt",
     "LogNormalVariate",
     "NormalVariate",
-    "ParetoVariate",
     "Process",
     "RandomStreams",
     "Signal",
@@ -55,6 +48,5 @@ __all__ = [
     "Store",
     "TimeSeries",
     "UniformVariate",
-    "WeibullVariate",
     "spawn",
 ]

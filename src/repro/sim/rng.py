@@ -2,7 +2,8 @@
 
 D-ITG draws inter-departure times (IDT) and packet sizes (PS) from a
 menu of stochastic processes (constant, uniform, exponential, normal,
-Pareto, Cauchy, ...).  This module reproduces that menu as small
+Pareto, Cauchy, ...).  This module keeps the part of that menu the
+reproduction draws from (plus the log-normal operator jitter) as small
 :class:`Distribution` objects and provides :class:`RandomStreams`,
 which derives an independent, stable ``random.Random`` per named
 component from one experiment seed — so "the UMTS channel noise" and
@@ -184,126 +185,6 @@ class NormalVariate(Distribution):
 
     def __repr__(self) -> str:
         return f"NormalVariate(mu={self.mu!r}, sigma={self.sigma!r})"
-
-
-class ParetoVariate(Distribution):
-    """Pareto with shape ``alpha`` and scale ``xm`` (heavy-tailed sizes)."""
-
-    def __init__(
-        self,
-        alpha: float,
-        xm: float,
-        low: Optional[float] = None,
-        high: Optional[float] = None,
-    ):
-        if alpha <= 0 or xm <= 0:
-            raise ValueError(f"alpha and xm must be positive, got {alpha!r}, {xm!r}")
-        super().__init__(low=low, high=high)
-        self.alpha = float(alpha)
-        self.xm = float(xm)
-
-    def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
-        paretovariate, alpha, xm = rng.paretovariate, self.alpha, self.xm
-        return lambda: xm * paretovariate(alpha)
-
-    def mean(self) -> float:
-        """Theoretical mean (infinite for shape alpha <= 1)."""
-        if self.alpha <= 1.0:
-            return math.inf
-        return self.alpha * self.xm / (self.alpha - 1.0)
-
-    def __repr__(self) -> str:
-        return f"ParetoVariate(alpha={self.alpha!r}, xm={self.xm!r})"
-
-
-class CauchyVariate(Distribution):
-    """Cauchy with location ``x0`` and scale ``gamma``.
-
-    The Cauchy distribution has no mean; callers must clamp it with
-    ``low``/``high`` to use it for IDT or PS (as D-ITG does).
-    """
-
-    def __init__(
-        self,
-        x0: float,
-        gamma: float,
-        low: Optional[float] = None,
-        high: Optional[float] = None,
-    ):
-        if gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {gamma!r}")
-        super().__init__(low=low, high=high)
-        self.x0 = float(x0)
-        self.gamma = float(gamma)
-
-    def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
-        # Inverse-CDF sampling.
-        unit, tan, pi = rng.random, math.tan, math.pi
-        x0, gamma = self.x0, self.gamma
-        return lambda: x0 + gamma * tan(pi * (unit() - 0.5))
-
-    def mean(self) -> float:
-        """Theoretical mean of the distribution."""
-        return math.nan
-
-    def __repr__(self) -> str:
-        return f"CauchyVariate(x0={self.x0!r}, gamma={self.gamma!r})"
-
-
-class WeibullVariate(Distribution):
-    """Weibull with scale ``lam`` and shape ``k``."""
-
-    def __init__(
-        self,
-        lam: float,
-        k: float,
-        low: Optional[float] = None,
-        high: Optional[float] = None,
-    ):
-        if lam <= 0 or k <= 0:
-            raise ValueError(f"lam and k must be positive, got {lam!r}, {k!r}")
-        super().__init__(low=low, high=high)
-        self.lam = float(lam)
-        self.k = float(k)
-
-    def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
-        weibullvariate, lam, k = rng.weibullvariate, self.lam, self.k
-        return lambda: weibullvariate(lam, k)
-
-    def mean(self) -> float:
-        """Theoretical mean of the distribution."""
-        return self.lam * math.gamma(1.0 + 1.0 / self.k)
-
-    def __repr__(self) -> str:
-        return f"WeibullVariate(lam={self.lam!r}, k={self.k!r})"
-
-
-class GammaVariate(Distribution):
-    """Gamma with shape ``k`` and scale ``theta``."""
-
-    def __init__(
-        self,
-        k: float,
-        theta: float,
-        low: Optional[float] = None,
-        high: Optional[float] = None,
-    ):
-        if k <= 0 or theta <= 0:
-            raise ValueError(f"k and theta must be positive, got {k!r}, {theta!r}")
-        super().__init__(low=low, high=high)
-        self.k = float(k)
-        self.theta = float(theta)
-
-    def _bound_draw(self, rng: random.Random) -> Callable[[], float]:
-        gammavariate, k, theta = rng.gammavariate, self.k, self.theta
-        return lambda: gammavariate(k, theta)
-
-    def mean(self) -> float:
-        """Theoretical mean of the distribution."""
-        return self.k * self.theta
-
-    def __repr__(self) -> str:
-        return f"GammaVariate(k={self.k!r}, theta={self.theta!r})"
 
 
 class LogNormalVariate(Distribution):

@@ -10,6 +10,7 @@ windows by the decoder, like the figures.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, List, Optional
 
 from repro.sim.monitor import TimeSeries
@@ -49,9 +50,9 @@ class ExperimentResult:
         #: the RAB grade changes during the run (UMTS path only).
         self.rab_history = rab_history
 
-    @property
+    @cached_property
     def summary(self) -> FlowSummary:
-        """End-of-run aggregate statistics."""
+        """End-of-run aggregate statistics, decoded once: the run is over."""
         return self.decoder.summary()
 
     def bitrate_kbps(self) -> TimeSeries:

@@ -83,10 +83,6 @@ class OneLabScenario:
         # UMTS hardware on the Napoli node, authorized for the slice.
         self.napoli.install_umts_card(card_cls, self.cell, apn=self.operator.apn)
         self.napoli.authorize_umts(slice_name)
-        # The operator's DNS knows the testbed's names, so mobiles can
-        # resolve nodes via the server IPCP pushed (dns1).
-        self.operator.dns.add_record(self.napoli.name, NAPOLI_NODE_ADDR)
-        self.operator.dns.add_record(self.inria.name, INRIA_NODE_ADDR)
 
     def add_umts_node(
         self,

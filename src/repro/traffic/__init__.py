@@ -18,21 +18,7 @@ The pieces map one-to-one:
 """
 
 from repro.traffic.decoder import FlowSummary, ItgDecoder
-from repro.traffic.flows import (
-    FlowSpec,
-    cbr,
-    exponential_onoff,
-    poisson,
-    telnet_like,
-    voip_g711,
-)
-from repro.traffic.logfile import (
-    LogFormatError,
-    load_receiver_log,
-    load_sender_log,
-    save_receiver_log,
-    save_sender_log,
-)
+from repro.traffic.flows import FlowSpec, cbr, voip_g711
 from repro.traffic.records import ProbePayload, ReceiverLog, RecvRecord, SenderLog, SentRecord
 from repro.traffic.receiver import ItgReceiver
 from repro.traffic.script import ItgScriptRunner, ScriptError, ScriptFlow, parse_script
@@ -45,7 +31,6 @@ __all__ = [
     "ItgReceiver",
     "ItgScriptRunner",
     "ItgSender",
-    "LogFormatError",
     "ScriptError",
     "ScriptFlow",
     "ProbePayload",
@@ -54,13 +39,6 @@ __all__ = [
     "SenderLog",
     "SentRecord",
     "cbr",
-    "exponential_onoff",
-    "load_receiver_log",
-    "load_sender_log",
     "parse_script",
-    "poisson",
-    "save_receiver_log",
-    "save_sender_log",
-    "telnet_like",
     "voip_g711",
 ]

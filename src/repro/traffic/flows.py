@@ -17,12 +17,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.sim.rng import (
-    ConstantVariate,
-    Distribution,
-    ExponentialVariate,
-    ParetoVariate,
-)
+from repro.sim.rng import ConstantVariate, Distribution
 
 #: Smallest payload the generator will emit (D-ITG's sequence header).
 MIN_PAYLOAD = 8
@@ -105,54 +100,4 @@ def cbr(
         dport=dport,
         meter=meter,
         name=name or f"cbr-{int(rate_bps / 1000)}k",
-    )
-
-
-def poisson(
-    mean_rate_pps: float,
-    packet_size: int = 512,
-    duration: float = 120.0,
-    dport: int = 8999,
-    meter: str = "rtt",
-) -> FlowSpec:
-    """Poisson arrivals (exponential IDT) with fixed packet size."""
-    if mean_rate_pps <= 0:
-        raise ValueError("rate must be positive")
-    return FlowSpec(
-        idt=ExponentialVariate(1.0 / mean_rate_pps),
-        ps=ConstantVariate(packet_size),
-        duration=duration,
-        dport=dport,
-        meter=meter,
-        name=f"poisson-{mean_rate_pps:g}pps",
-    )
-
-
-def telnet_like(duration: float = 120.0, dport: int = 8999) -> FlowSpec:
-    """An interactive-session-like flow: Pareto sizes, exponential IDT."""
-    return FlowSpec(
-        idt=ExponentialVariate(0.2, high=5.0),
-        ps=ParetoVariate(2.5, 40, low=MIN_PAYLOAD, high=MAX_PAYLOAD),
-        duration=duration,
-        dport=dport,
-        meter="owd",
-        name="telnet-like",
-    )
-
-
-def exponential_onoff(
-    rate_bps: float,
-    packet_size: int = 512,
-    duration: float = 120.0,
-    dport: int = 8999,
-) -> FlowSpec:
-    """Bursty traffic: exponential IDT sized to an average rate."""
-    pps = rate_bps / (packet_size * 8.0)
-    return FlowSpec(
-        idt=ExponentialVariate(1.0 / pps),
-        ps=ConstantVariate(packet_size),
-        duration=duration,
-        dport=dport,
-        meter="owd",
-        name=f"exp-{int(rate_bps / 1000)}k",
     )

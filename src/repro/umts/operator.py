@@ -65,7 +65,6 @@ class UmtsOperator:
         rab_config: Optional[RabConfig] = None,
         block_inbound: bool = True,
         max_sessions: int = 64,
-        dns_zone: Optional[dict] = None,
         ggsn_name: Optional[str] = None,
     ):
         self.sim = sim
@@ -94,13 +93,6 @@ class UmtsOperator:
             pool_prefix,
             ggsn_internal,
             block_inbound=block_inbound,
-        )
-        # The GGSN answers DNS for the mobiles on its internal address
-        # (what IPCP's dns1 option points at).
-        from repro.net.dns import DnsServer
-
-        self.dns = DnsServer(
-            self.ggsn.stack.socket(), zone=dict(dns_zone or {})
         )
         self.cells: List[UmtsCell] = []
         self.calls: List[DataCall] = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import inspect
 import shlex
-from typing import Any, Callable, Dict, Generator, List, NamedTuple, Sequence, Set
+from typing import Any, Callable, Dict, Generator, List, NamedTuple, Optional, Sequence, Set
 
 from repro.faults.errors import VsysProtocolError
 from repro.shellwords import split_command
@@ -51,7 +51,7 @@ class VsysConnection:
         self.pipe = pipe
         self.script = script
         self.slice_name = slice_name
-        self._busy = False
+        self._inflight: Optional[Process] = None
         self.closed = False
 
     def call(self, argv: List[str]) -> Process:
@@ -62,29 +62,29 @@ class VsysConnection:
         """
         if self.closed:
             raise VsysError(f"connection to {self.script!r} is closed")
-        if self._busy:
+        if self._inflight is not None and self._inflight.alive:
             raise VsysError(f"connection to {self.script!r} is busy")
         line = " ".join(shlex.quote(arg) for arg in argv)
 
         def frontend() -> Generator[Any, Any, VsysResult]:
-            self._busy = True
-            try:
-                self.pipe.send_request(line)
-                lines: List[str] = []
-                while True:
-                    item = yield self.pipe.to_frontend.get()
-                    if item is EOF:
-                        # The pair was torn down under us; surface a
-                        # clean failure instead of waiting forever.
-                        lines.append("vsys: connection closed")
-                        return VsysResult(1, lines)
-                    if isinstance(item, tuple) and item[0] == _EXIT_SENTINEL:
-                        return VsysResult(item[1], lines)
-                    lines.append(item)
-            finally:
-                self._busy = False
+            self.pipe.send_request(line)
+            lines: List[str] = []
+            while True:
+                item = yield self.pipe.to_frontend.get()
+                if item is EOF:
+                    # The pair was torn down under us; surface a
+                    # clean failure instead of waiting forever.
+                    lines.append("vsys: connection closed")
+                    return VsysResult(1, lines)
+                if isinstance(item, tuple) and item[0] == _EXIT_SENTINEL:
+                    return VsysResult(item[1], lines)
+                lines.append(item)
 
-        return spawn(self._sim, frontend(), name=f"vsys-call:{self.script}")
+        # The in-flight process is busy from the moment it is spawned,
+        # not from when it first runs: two calls issued in the same
+        # instant would otherwise both be accepted and interleave.
+        self._inflight = spawn(self._sim, frontend(), name=f"vsys-call:{self.script}")
+        return self._inflight
 
     def call_blocking(self, argv: List[str]) -> VsysResult:
         """Test/example convenience: issue a call and run the simulator

@@ -53,3 +53,20 @@ def _metered_scenario(seed):
     scenario = OneLabScenario(seed=seed)
     scenario.sim.metrics = MetricsRegistry()
     return scenario
+
+
+def test_run_digest_and_summary_decode_the_flow_once(monkeypatch):
+    from repro.traffic.decoder import ItgDecoder
+
+    calls = []
+    decode = ItgDecoder.summary
+
+    def counted(self):
+        calls.append(self)
+        return decode(self)
+
+    monkeypatch.setattr(ItgDecoder, "summary", counted)
+    result = run_characterization(voip_g711(duration=2.0), path=PATH_ETHERNET, seed=3)
+    run_digest(result)
+    assert result.summary.packets_sent > 0
+    assert len(calls) == 1

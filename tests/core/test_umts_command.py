@@ -270,3 +270,24 @@ def test_refused_ip_line_fails_start_with_a_reply(scenario, stale, message):
     started = scenario.umts_command().start_blocking()
     assert started.code == 1
     assert started.lines[0].startswith(message), started.lines
+
+
+def test_connection_reports_the_ipcp_dns_while_up(scenario):
+    """pppd's ``usepeerdns``: IPCP hands the mobile the GGSN's address."""
+    assert scenario.umts_command().start_blocking().ok
+    primary, _secondary = scenario.napoli.connection.dns_servers()
+    assert primary == scenario.operator.ggsn.internal_address
+
+
+def test_dns_servers_when_down(scenario):
+    assert scenario.napoli.connection.dns_servers() == (None, None)
+
+
+def test_back_to_back_status_calls_do_not_interleave():
+    scenario = OneLabScenario(seed=3)
+    umts = scenario.umts_command()
+    first = umts.status()
+    with pytest.raises(VsysError):
+        umts.status()
+    scenario.sim.run(until=scenario.sim.now + 5.0)
+    assert first.value.lines == ["state: down", "interface: unlocked"]

@@ -96,11 +96,6 @@ def test_any_valid_scenario_never_hangs_never_leaks(spec):
     assert report["roamed"] is spec.roaming.visit
 
 
-@given(spec=scenario_specs())
-def test_spec_round_trip_is_lossless(spec):
-    assert ScenarioSpec.from_payload(spec.to_payload()) == spec
-
-
 def test_named_grammar_points_all_run_clean():
     """The 36 named points satisfy the same contract as random ones."""
     for spec in enumerate_grammar():

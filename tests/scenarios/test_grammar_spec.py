@@ -1,6 +1,4 @@
-"""The spec layer: validation, enumeration, JSON round-trip."""
-
-import json
+"""The spec layer: validation and enumeration."""
 
 import pytest
 
@@ -125,22 +123,6 @@ def test_grammar_point_resolves_and_rejects():
         grammar_point("climb/blizzard/visit/tunnel")
     assert point_name("r99", "none", "home", "local") == "r99/none/home/local"
     assert DIMENSIONS == ("ladder", "handover", "roaming", "sim")
-
-
-# -- payload round-trip ------------------------------------------------------
-
-
-def test_every_grammar_point_round_trips_through_json():
-    for spec in enumerate_grammar():
-        payload = json.loads(json.dumps(spec.to_payload()))
-        assert ScenarioSpec.from_payload(payload) == spec
-
-
-def test_malformed_payload_raises_spec_error():
-    with pytest.raises(ScenarioSpecError):
-        ScenarioSpec.from_payload({})
-    with pytest.raises(ScenarioSpecError):
-        ScenarioSpec.from_payload({"name": "x", "ladder": {"rats": ["lte"]}})
 
 
 # -- signal mapping ----------------------------------------------------------

@@ -4,14 +4,7 @@ import math
 
 import pytest
 
-from repro.traffic.flows import (
-    FlowSpec,
-    cbr,
-    exponential_onoff,
-    poisson,
-    telnet_like,
-    voip_g711,
-)
+from repro.traffic.flows import FlowSpec, cbr, voip_g711
 from repro.sim.rng import ConstantVariate
 
 
@@ -36,22 +29,6 @@ def test_cbr_custom_rate():
     assert spec.expected_packet_rate() == pytest.approx(125.0)
 
 
-def test_poisson_rate():
-    spec = poisson(50.0, packet_size=100)
-    assert spec.expected_packet_rate() == pytest.approx(50.0)
-
-
-def test_telnet_like_valid():
-    spec = telnet_like()
-    assert spec.meter == "owd"
-    assert spec.expected_packet_rate() > 0
-
-
-def test_exponential_onoff_rate():
-    spec = exponential_onoff(256_000.0, packet_size=512)
-    assert spec.expected_bitrate() == pytest.approx(256_000.0)
-
-
 def test_invalid_specs_rejected():
     for duration in (0, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -60,5 +37,3 @@ def test_invalid_specs_rejected():
         FlowSpec(ConstantVariate(0.01), ConstantVariate(100), meter="telepathy")
     with pytest.raises(ValueError):
         cbr(rate_bps=0)
-    with pytest.raises(ValueError):
-        poisson(0)

@@ -6,8 +6,8 @@ from repro.net.interface import EthernetInterface
 from repro.net.link import Link
 from repro.net.stack import IPStack
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
-from repro.traffic.flows import cbr, poisson, voip_g711
+from repro.sim.rng import ConstantVariate, ExponentialVariate, RandomStreams
+from repro.traffic.flows import FlowSpec, cbr, voip_g711
 from repro.traffic.receiver import ItgReceiver
 from repro.traffic.sender import ItgSender
 
@@ -75,7 +75,7 @@ def test_owd_measured_exactly():
 
 
 def test_poisson_flow_rate_close_to_mean():
-    spec = poisson(200.0, packet_size=100, duration=30.0)
+    spec = FlowSpec(ExponentialVariate(1.0 / 200.0), ConstantVariate(100), duration=30.0)
     sender, _ = run_flow(spec, seed=3)
     rate = sender.log.packets_sent / 30.0
     assert rate == pytest.approx(200.0, rel=0.1)

@@ -102,6 +102,8 @@ def test_sequential_calls_on_one_connection(daemon):
 def test_concurrent_calls_rejected(sim, daemon):
     conn = daemon.open("unina_umts", "slow")
     conn.call(["first"])
+    with pytest.raises(VsysError):  # same instant, before the call first runs
+        conn.call(["second"])
 
     def second_caller():
         yield 1.0  # first call still running (takes 5s)

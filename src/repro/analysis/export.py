@@ -25,7 +25,6 @@ def series_to_csv(
     series: TimeSeries,
     path: PathLike,
     value_header: str = "value",
-    time_header: str = "time_s",
 ) -> pathlib.Path:
     """Write one series as a two-column CSV; returns the path.
 
@@ -35,7 +34,7 @@ def series_to_csv(
     target = pathlib.Path(path)
     with target.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([time_header, value_header])
+        writer.writerow(["time_s", value_header])
         for t, v in series.as_pairs():
             writer.writerow([f"{t:.6f}", "" if v != v else f"{v:.9g}"])
     return target

@@ -38,8 +38,6 @@ def sparkline(series: TimeSeries, scale: Optional[float] = None, width: int = 72
 def render_series_table(
     rows: Sequence[Tuple[str, TimeSeries]],
     step: float = 10.0,
-    unit_scale: float = 1.0,
-    header: str = "",
 ) -> List[str]:
     """Tabulate several series side-by-side in ``step``-second rows.
 
@@ -56,8 +54,6 @@ def render_series_table(
     lines = []
     labels = [label for label, _ in rows]
     lines.append(("time".rjust(6)) + "".join(label.rjust(14) for label in labels))
-    if header:
-        lines.insert(0, header)
     end = max(
         (series.times[-1] for _, series in rows if len(series)), default=0.0
     )
@@ -65,7 +61,7 @@ def render_series_table(
     while t <= end:
         cells = []
         for _, series in rows:
-            value = series.between(t, t + step).mean() * unit_scale
+            value = series.between(t, t + step).mean()
             cells.append(f"{value:14.2f}" if value == value else "-".rjust(14))
         lines.append(f"{t:5.0f}s" + "".join(cells))
         t += step

@@ -19,7 +19,7 @@ pipes, never touching the privileged objects directly.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.core.connection import UmtsConnectionManager
 from repro.core.errors import UmtsCommandError
@@ -54,13 +54,12 @@ class UmtsBackend:
         connection: UmtsConnectionManager,
         isolation: IsolationManager,
         resolve_xid: Callable[[str], int],
-        lock: Optional[InterfaceLock] = None,
     ):
         self.sim = sim
         self.connection = connection
         self.isolation = isolation
         self.resolve_xid = resolve_xid
-        self.lock = lock if lock is not None else InterfaceLock(connection.ifname)
+        self.lock = InterfaceLock(connection.ifname)
         self.events: List[Tuple[float, str]] = []
         connection.went_down.wait(self._on_connection_down)
 

@@ -57,8 +57,6 @@ class UmtsConnectionManager:
         streams: RandomStreams,
         pin: Optional[str] = None,
         ifname: str = "ppp0",
-        registration_policy: Optional[RetryPolicy] = None,
-        dial_policy: Optional[RetryPolicy] = None,
     ):
         self.sim = sim
         self.stack = stack
@@ -67,8 +65,6 @@ class UmtsConnectionManager:
         self.pin = pin
         self.ifname = ifname
         self.streams = streams
-        self.registration_policy = registration_policy or DEFAULT_REGISTRATION_POLICY
-        self.dial_policy = dial_policy or DEFAULT_DIAL_POLICY
         self.state = ConnectionState.DOWN
         self.pppd: Optional[Pppd] = None
         self.transport: Optional[SerialPppTransport] = None
@@ -123,12 +119,6 @@ class UmtsConnectionManager:
             return str(self.pppd.iface.address)
         return None
 
-    def dns_servers(self):
-        """The DNS servers the operator pushed via IPCP (while up)."""
-        if self.is_up:
-            return self.pppd.ipcp.dns_servers
-        return (None, None)
-
     def uptime(self) -> Optional[float]:
         """Seconds since the session reached the data phase."""
         if self.connected_at is None or not self.is_up:
@@ -168,7 +158,7 @@ class UmtsConnectionManager:
 
     def _register_with_retry(self, trace):
         """Generator: run comgt under the registration policy."""
-        policy = self.registration_policy
+        policy = DEFAULT_REGISTRATION_POLICY
         code, lines = 1, ["comgt: not attempted"]
         for attempt in policy.attempts():
             code, lines = yield from Comgt(self.modem.port, pin=self.pin).run()
@@ -180,8 +170,8 @@ class UmtsConnectionManager:
     def connect(self):
         """Generator: bring the connection up.  Returns (code, lines).
 
-        Registration runs under ``registration_policy``; the dial and
-        the PPP negotiation retry together under ``dial_policy`` (a
+        Registration runs under ``DEFAULT_REGISTRATION_POLICY``; the dial
+        and the PPP negotiation retry together under ``DEFAULT_DIAL_POLICY`` (a
         failed negotiation needs a fresh carrier, so the two phases are
         one unit of work).  Permanent failures — registration denied,
         SIM PIN trouble — abort immediately.
@@ -201,7 +191,7 @@ class UmtsConnectionManager:
                 span.fail("registration failed")
             self._count("umts.connect_failures")
             return 1, lines
-        policy = self.dial_policy
+        policy = DEFAULT_DIAL_POLICY
         for attempt in policy.attempts():
             self._set_state(ConnectionState.DIALING, "registered")
             dial_code, dial_lines = yield from Wvdial(

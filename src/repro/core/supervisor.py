@@ -9,13 +9,13 @@ and re-runs ``umts start`` under a :class:`~repro.core.retry.RetryPolicy`
 real node.
 
 A deliberate teardown (``umts stop``) must *not* trigger a re-dial, so
-reasons listed in ``ignore_reasons`` are skipped.
+that reason is skipped.
 """
 
 from __future__ import annotations
 
 import random as _random
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.core.retry import RetryPolicy
 from repro.sim.engine import Simulator
@@ -44,14 +44,12 @@ class ConnectionSupervisor:
         restart: Callable[[], Any],
         policy: Optional[RetryPolicy] = None,
         rng: Optional[_random.Random] = None,
-        ignore_reasons: Tuple[str, ...] = ("umts stop",),
     ) -> None:
         self.sim = sim
         self.connection = connection
         self.restart = restart
         self.policy = policy or DEFAULT_SUPERVISOR_POLICY
         self.rng = rng
-        self.ignore_reasons = ignore_reasons
         self.heals = 0
         self.gave_up = 0
         self._healing = False
@@ -70,7 +68,7 @@ class ConnectionSupervisor:
         if self._stopped:
             return
         self._arm()  # the signal's wait() is one-shot; stay subscribed
-        if self._healing or str(reason) in self.ignore_reasons:
+        if self._healing or str(reason) == "umts stop":
             return
         self._healing = True
         trace = self.sim.trace

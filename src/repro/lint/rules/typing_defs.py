@@ -1,11 +1,12 @@
 """Typing rule: the strict packages require fully annotated defs.
 
 Mirrors the mypy ``disallow_untyped_defs`` escalation configured in
-``pyproject.toml`` for ``repro.sim``, ``repro.ppp``, ``repro.vsys``
-and ``repro.bench`` — including mypy's one exception: ``__init__`` may
-omit ``-> None`` when at least one parameter is annotated.  Having the
-check in-repo means it runs even where mypy is not installed, and the
-two gates can never silently drift apart on which files are strict.
+``pyproject.toml`` for ``repro.sim``, ``repro.ppp``, ``repro.vsys``,
+``repro.bench`` and ``repro.parallel`` — including mypy's one
+exception: ``__init__`` may omit ``-> None`` when at least one
+parameter is annotated.  Having the check in-repo means it runs even
+where mypy is not installed, and the two gates can never silently
+drift apart on which files are strict.
 """
 
 from __future__ import annotations

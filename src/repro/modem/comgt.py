@@ -38,13 +38,11 @@ class Comgt:
         pin: Optional[str] = None,
         poll_interval: float = 2.0,
         max_attempts: int = 30,
-        command_timeout: float = DEFAULT_CHAT_TIMEOUT,
     ):
         self.port = port
         self.pin = pin
         self.poll_interval = poll_interval
         self.max_attempts = max_attempts
-        self.command_timeout = command_timeout
         self.poll_policy = RetryPolicy(
             max_attempts=max_attempts,
             base_delay=poll_interval,
@@ -71,7 +69,7 @@ class Comgt:
         return code, lines
 
     def _chat(self, command: str):
-        return (yield from chat(self.port, command, timeout=self.command_timeout))
+        return (yield from chat(self.port, command, timeout=DEFAULT_CHAT_TIMEOUT))
 
     def _script(self, trace):
         terminal, _ = yield from self._chat("AT")

@@ -15,7 +15,7 @@ the HDLC FCS would have rejected them on a real line.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.faults.plan import Garbled
 from repro.modem.chat import DEFAULT_CHAT_TIMEOUT, chat
@@ -33,14 +33,10 @@ class Wvdial:
         port: SerialPort,
         apn: str,
         phone: str = "*99#",
-        init_commands: Optional[List[str]] = None,
-        command_timeout: float = DEFAULT_CHAT_TIMEOUT,
     ):
         self.port = port
         self.apn = apn
         self.phone = phone
-        self.init_commands = list(init_commands or [])
-        self.command_timeout = command_timeout
 
     def run(self):
         """The dial sequence.  Generator returning (code, lines).
@@ -62,16 +58,11 @@ class Wvdial:
         return code, lines
 
     def _script(self):
-        setup = ["ATZ", f'AT+CGDCONT=1,"IP","{self.apn}"'] + self.init_commands
-        for command in setup:
-            terminal, _ = yield from chat(
-                self.port, command, timeout=self.command_timeout
-            )
+        for command in ("ATZ", f'AT+CGDCONT=1,"IP","{self.apn}"'):
+            terminal, _ = yield from chat(self.port, command, timeout=DEFAULT_CHAT_TIMEOUT)
             if terminal != "OK":
                 return 1, [f"wvdial: {command} failed ({terminal})"]
-        terminal, _ = yield from chat(
-            self.port, f"ATD{self.phone}", timeout=self.command_timeout
-        )
+        terminal, _ = yield from chat(self.port, f"ATD{self.phone}", timeout=DEFAULT_CHAT_TIMEOUT)
         if terminal.startswith("CONNECT"):
             return 0, [f"wvdial: carrier acquired ({terminal})"]
         return 1, [f"wvdial: dial failed ({terminal})"]
@@ -86,12 +77,12 @@ class Wvdial:
         """
         self.port.write("+++")
         while True:
-            item = yield self.port.read(self.command_timeout)
+            item = yield self.port.read(DEFAULT_CHAT_TIMEOUT)
             if item is TIMEOUT:
                 break
             if isinstance(item, str) and item.strip() in ("OK", "ERROR"):
                 break
-        terminal, _ = yield from chat(self.port, "ATH", timeout=self.command_timeout)
+        terminal, _ = yield from chat(self.port, "ATH", timeout=DEFAULT_CHAT_TIMEOUT)
         if terminal == "OK":
             return 0, ["wvdial: disconnected"]
         return 1, [f"wvdial: hangup failed ({terminal})"]

@@ -77,13 +77,13 @@ class Pinger:
         self.results: List[Tuple[int, float]] = []
         stack.register_echo_listener(self.ident, self._handle_reply)
 
-    def send(self, dst: AddressLike, size: int = 56) -> int:
+    def send(self, dst: AddressLike) -> int:
         """Emit one echo request; returns its sequence number."""
         self.seq += 1
         packet = Packet(
             dst=dst,
             proto=PROTO_ICMP,
-            size=size,
+            size=56,  # ping's default payload
             payload=IcmpEcho(ECHO_REQUEST, self.ident, self.seq, self.stack.sim.now),
             xid=self.xid,
         )

@@ -151,8 +151,8 @@ class PPPInterface(Interface):
 
     point_to_point = True
 
-    def __init__(self, name: str = "ppp0", mtu: int = 1500):
-        super().__init__(name, mtu=mtu)
+    def __init__(self, name: str = "ppp0"):
+        super().__init__(name)
 
     def configure_p2p(self, local: AddressLike, peer: AddressLike) -> None:
         """Set the negotiated local/peer address pair."""

@@ -180,8 +180,6 @@ class Link:
         b: Interface,
         rate_bps: float = 100e6,
         delay: float = 0.0001,
-        queue_bytes: int = 256000,
-        loss_rate: float = 0.0,
         jitter: Optional[Distribution] = None,
         rng: Optional[_random.Random] = None,
         rate_bps_ab: Optional[float] = None,
@@ -193,12 +191,12 @@ class Link:
         self.b = b
         self.ab = Channel(
             sim, b.deliver, rate_bps_ab if rate_bps_ab is not None else rate_bps, delay,
-            queue_bytes=queue_bytes, loss_rate=loss_rate, jitter=jitter, rng=rng,
+            jitter=jitter, rng=rng,
             name=f"{self.name}:ab",
         )
         self.ba = Channel(
             sim, a.deliver, rate_bps_ba if rate_bps_ba is not None else rate_bps, delay,
-            queue_bytes=queue_bytes, loss_rate=loss_rate, jitter=jitter, rng=rng,
+            jitter=jitter, rng=rng,
             name=f"{self.name}:ba",
         )
         a.attach(self.ab)

@@ -40,7 +40,6 @@ class UDPSocket:
         self.address: IPv4Address = UNSPECIFIED
         self.port: int = 0
         self.bound_device: Optional[str] = None
-        self.tos = 0
         self.on_receive: Optional[ReceiveCallback] = None
         self.closed = False
         self.tx_packets = 0
@@ -67,7 +66,6 @@ class UDPSocket:
         size: int,
         dst: AddressLike,
         dport: int,
-        tos: Optional[int] = None,
     ) -> Packet:
         """Send ``size`` bytes of ``payload`` to ``dst:dport``.
 
@@ -86,7 +84,6 @@ class UDPSocket:
             sport=self.port,
             dport=dport,
             payload=payload,
-            tos=self.tos if tos is None else tos,
             xid=self.xid,
         )
         if self.bound_device is not None:

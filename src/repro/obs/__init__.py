@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.obs.exporter import render_openmetrics, write_openmetrics
+from repro.obs.exporter import render_openmetrics
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
     WALL_BUCKETS,
@@ -80,11 +80,11 @@ class Observability:
     simulator, so nodes are bound explicitly with :meth:`bind_node`.
     """
 
-    def __init__(self, sim, flight_capacity: int = DEFAULT_FLIGHT_CAPACITY):
+    def __init__(self, sim):
         self.sim = sim
         self.trace = TraceBus(sim)
         self.metrics = MetricsRegistry()
-        self.flight = FlightRecorder(capacity=flight_capacity)
+        self.flight = FlightRecorder()
         self.trace.attach(self.flight)
         self.profiler: Optional[SimProfiler] = None
         self._bound: List = []
@@ -159,5 +159,4 @@ __all__ = [
     "WALL_BUCKETS",
     "format_event",
     "render_openmetrics",
-    "write_openmetrics",
 ]

@@ -139,16 +139,3 @@ def render_openmetrics(
         lines.extend(renderer(name, entry))
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def write_openmetrics(
-    source: Union[MetricsRegistry, Snapshot],
-    path: str,
-    include_volatile: bool = False,
-) -> int:
-    """Write the exposition to ``path``; returns the byte count."""
-    text = render_openmetrics(source, include_volatile=include_volatile)
-    data = text.encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return len(data)

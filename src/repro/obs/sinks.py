@@ -117,9 +117,9 @@ class FlightRecorder:
         """The most recent frozen dump, if any trigger fired."""
         return self.dumps[-1] if self.dumps else None
 
-    def dump_lines(self, dump: Optional[List[TraceEvent]] = None) -> List[str]:
-        """The dump formatted for humans (defaults to the last one)."""
-        events = dump if dump is not None else self.last_dump()
+    def dump_lines(self) -> List[str]:
+        """The last dump formatted for humans."""
+        events = self.last_dump()
         if not events:
             return ["flight recorder: no dump captured"]
         header = (

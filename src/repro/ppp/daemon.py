@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from typing import Any, Callable, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.net.addressing import AddressLike
 from repro.net.interface import PPPInterface
@@ -66,14 +66,9 @@ class Pppd:
         local_address: Optional[AddressLike] = None,
         assign_address: Optional[AddressLike] = None,
         dns1: Optional[AddressLike] = None,
-        dns2: Optional[AddressLike] = None,
         rng: Optional[_random.Random] = None,
-        add_peer_route: bool = True,
         request_dns: bool = False,
         echo_interval: Optional[float] = None,
-        echo_failure: int = 4,
-        on_up: Optional[Callable[[PPPInterface], None]] = None,
-        on_down: Optional[Callable[[str], None]] = None,
     ) -> None:
         if role not in ("client", "server"):
             raise PppError(f"unknown role {role!r}")
@@ -84,13 +79,9 @@ class Pppd:
         self.transport = transport
         self.role = role
         self.ifname = ifname or f"ppp{next(_unit_numbers)}"
-        self.add_peer_route = add_peer_route
         self.echo_interval = echo_interval
-        self.echo_failure = echo_failure
         self._echo_missed = 0
         self._echo_timer: Optional[Event] = None
-        self.on_up_cb = on_up
-        self.on_down_cb = on_down
         self.malformed_frames = 0
         self.iface: Optional[PPPInterface] = None
         #: fired with the interface when the session reaches data phase.
@@ -126,7 +117,6 @@ class Pppd:
                 local_address=local_address,
                 assign_address=assign_address,
                 dns1=dns1,
-                dns2=dns2,
             )
         if hasattr(transport, "set_receiver"):
             transport.set_receiver(self.receive_frame)
@@ -213,15 +203,10 @@ class Pppd:
         self.stack.add_interface(iface)
         iface.attach(_TransportChannel(self))
         iface.bring_up()
-        if self.add_peer_route:
-            self.stack.rpdb.main.add(
-                Route(f"{peer}/32", self.ifname, src=local), replace=True
-            )
+        self.stack.rpdb.main.add(Route(f"{peer}/32", self.ifname, src=local), replace=True)
         self.iface = iface
         if self.echo_interval is not None:
             self._arm_echo_timer()
-        if self.on_up_cb is not None:
-            self.on_up_cb(iface)
         self.up.fire(iface)
 
     def _lcp_down(self, reason: str) -> None:
@@ -247,8 +232,6 @@ class Pppd:
             self.iface = None
             if name in self.stack.interfaces:
                 self.stack.remove_interface(name)
-            if self.on_down_cb is not None:
-                self.on_down_cb(reason)
             self.down.fire(reason)
 
     # -- LCP echo keepalive ----------------------------------------------------
@@ -262,7 +245,7 @@ class Pppd:
         if not self.is_up:
             return
         self._echo_missed += 1
-        if self._echo_missed > self.echo_failure:
+        if self._echo_missed > 4:  # pppd's lcp-echo-failure 4
             self.carrier_lost("LCP echo timeout")
             return
         from repro.ppp.frame import ECHO_REQ

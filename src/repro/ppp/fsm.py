@@ -240,7 +240,6 @@ class NegotiationFsm:
         on_up: Optional[Callable[[], None]] = None,
         on_down: Optional[Callable[[str], None]] = None,
         on_fail: Optional[Callable[[str], None]] = None,
-        restart_interval: float = RESTART_INTERVAL,
         max_configure: int = MAX_CONFIGURE,
     ) -> None:
         self.sim = sim
@@ -248,7 +247,6 @@ class NegotiationFsm:
         self.on_up = on_up
         self.on_down = on_down
         self.on_fail = on_fail
-        self.restart_interval = restart_interval
         self.max_configure = max_configure
         self.state = INITIAL_STATE
         self.options: Dict[str, Any] = {}
@@ -527,7 +525,7 @@ class NegotiationFsm:
 
     def _arm_timer(self) -> None:
         self._cancel_timer()
-        self._timer = self.sim.schedule(self.restart_interval, self._on_timeout)
+        self._timer = self.sim.schedule(RESTART_INTERVAL, self._on_timeout)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:

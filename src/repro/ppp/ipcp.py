@@ -3,8 +3,9 @@
 This is how the mobile node gets its address: the client requests
 ``0.0.0.0``; the server (the operator's GGSN) Configure-Naks with the
 address it assigned from its pool; the client re-requests that address
-and the server acks it.  The primary/secondary DNS options follow the
-same nak-to-assign pattern and are carried along.
+and the server acks it.  The client may also ask for primary and
+secondary DNS; the server naks the primary to its own value, the same
+nak-to-assign pattern, and leaves the secondary as requested.
 """
 
 from __future__ import annotations
@@ -96,14 +97,12 @@ class IpcpServerFsm(NegotiationFsm):
         local_address: AddressLike,
         assign_address: AddressLike,
         dns1: Optional[AddressLike] = None,
-        dns2: Optional[AddressLike] = None,
         **kwargs: Any,
     ) -> None:
         super().__init__(*args, **kwargs)
         self._local = ip(local_address)
         self._assign = ip(assign_address)
         self._dns1 = ip(dns1) if dns1 is not None else None
-        self._dns2 = ip(dns2) if dns2 is not None else None
 
     def initial_options(self) -> Dict[str, Any]:
         return {"addr": str(self._local)}
@@ -115,8 +114,6 @@ class IpcpServerFsm(NegotiationFsm):
             suggestions["addr"] = str(self._assign)
         if "dns1" in options and self._dns1 is not None and str(options["dns1"]) != str(self._dns1):
             suggestions["dns1"] = str(self._dns1)
-        if "dns2" in options and self._dns2 is not None and str(options["dns2"]) != str(self._dns2):
-            suggestions["dns2"] = str(self._dns2)
         if suggestions:
             merged = dict(options)
             merged.update(suggestions)

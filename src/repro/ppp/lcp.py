@@ -22,16 +22,15 @@ class LcpFsm(NegotiationFsm):
 
     protocol_name = "LCP"
 
-    def __init__(self, *args: Any, mru: int = DEFAULT_MRU,
-                 rng: Optional[_random.Random] = None, **kwargs: Any) -> None:
+    def __init__(self, *args: Any, rng: Optional[_random.Random] = None,
+                 **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.mru = mru
         self._rng = rng
         self.loopback_detected = False
 
     def initial_options(self) -> Dict[str, Any]:
         magic = self._rng.getrandbits(32) if self._rng is not None else 0x1234ABCD
-        return {"mru": self.mru, "magic": magic}
+        return {"mru": DEFAULT_MRU, "magic": magic}
 
     def check_peer_options(self, options: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         suggestions: Dict[str, Any] = {}

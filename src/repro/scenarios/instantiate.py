@@ -204,8 +204,7 @@ class GrammarHarness:
 
 def run_grammar_scenario(
     spec: ScenarioSpec,
-    seed: Optional[int] = None,
     metrics: Any = None,
 ) -> Dict[str, Any]:
     """Instantiate and run one grammar point; returns the report."""
-    return GrammarHarness(spec, seed=seed, metrics=metrics).run()
+    return GrammarHarness(spec, metrics=metrics).run()

@@ -218,6 +218,9 @@ class Process:
         except Interrupt:
             self._finish(None)
             return
+        except BaseException:
+            self.alive = False  # the generator crashed; ``done`` never fires
+            raise
         self._wait_on(yielded)
 
     def _resume(self, value: Any) -> None:
@@ -233,6 +236,9 @@ class Process:
         except StopIteration as stop:
             self._finish(stop.value)
             return
+        except BaseException:
+            self.alive = False  # the generator crashed; ``done`` never fires
+            raise
         self._wait_on(yielded)
 
     def _finish(self, value: Any) -> None:

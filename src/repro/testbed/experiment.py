@@ -82,7 +82,6 @@ def run_characterization(
     seed: int = 0,
     scenario: Optional[OneLabScenario] = None,
     operator_factory: Optional[Callable] = None,
-    drain: float = 20.0,
     direction: str = DIRECTION_UPLINK,
 ) -> ExperimentResult:
     """Run one flow over one path and decode the logs.
@@ -151,7 +150,7 @@ def run_characterization(
         scenario.streams.stream(f"itg.{spec.name}"),
     )
     sender.start()
-    sim.run(until=sim.now + spec.duration + drain)
+    sim.run(until=sim.now + spec.duration + 20.0)  # drain in-flight packets
     if umts is not None:
         stopped = umts.stop_blocking()
         if not stopped.ok:
@@ -167,7 +166,6 @@ def run_repetitions(
     path: str,
     repetitions: int = 20,
     base_seed: int = 1000,
-    operator_factory: Optional[Callable] = None,
 ) -> List[FlowSummary]:
     """§3.1's repeatability protocol: N independent runs, fresh seeds.
 
@@ -180,7 +178,6 @@ def run_repetitions(
             spec_factory(),
             path=path,
             seed=base_seed + repetition,
-            operator_factory=operator_factory,
         )
         summaries.append(result.summary)
     return summaries

@@ -32,7 +32,6 @@ class Internet:
         iface: Interface,
         subnet_router_address: str,
         prefix_len: int,
-        rate_bps: float = 100e6,
         delay: float = 0.002,
         jitter: Optional[Distribution] = None,
         rng: Optional[_random.Random] = None,
@@ -52,7 +51,6 @@ class Internet:
             self.sim,
             iface,
             router_iface,
-            rate_bps=rate_bps,
             delay=delay,
             jitter=jitter,
             rng=rng,

@@ -14,7 +14,7 @@ dialing simply cannot work.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 #: module -> modules it depends on (insmod order constraints).
 PLANETLAB_UMTS_MODULES: Dict[str, List[str]] = {
@@ -56,10 +56,8 @@ class ModuleError(Exception):
 class KernelModuleRegistry:
     """Tracks which modules are loaded on one node."""
 
-    def __init__(self, available: Optional[Dict[str, List[str]]] = None):
-        self.available = dict(available) if available is not None else dict(
-            PLANETLAB_UMTS_MODULES
-        )
+    def __init__(self) -> None:
+        self.available = dict(PLANETLAB_UMTS_MODULES)
         self._loaded: Set[str] = set()
 
     def is_loaded(self, name: str) -> bool:

@@ -54,10 +54,8 @@ class PlanetLabNode:
         address: str,
         gateway: str,
         prefix_len: int = 24,
-        rate_bps: float = 100e6,
         delay: float = 0.002,
         jitter=None,
-        bwlimit_rate_bps: float = 10_000_000.0,
     ):
         """Give the node its Ethernet uplink through the Internet core.
 
@@ -65,7 +63,7 @@ class PlanetLabNode:
         default route via the gateway — the standard PlanetLab setup
         where ``eth0`` carries both control and experiment traffic,
         including PlanetLab's per-slice egress cap (``bwlimit``, 10
-        Mbit/s per slice by default; pass ``None`` to disable).
+        Mbit/s per slice).
         """
         eth = self.stack.add_interface(EthernetInterface("eth0"))
         self.stack.configure_interface(eth, address, prefix_len)
@@ -73,18 +71,13 @@ class PlanetLabNode:
             eth,
             gateway,
             prefix_len,
-            rate_bps=rate_bps,
             delay=delay,
             jitter=jitter,
             rng=self.streams.stream(f"{self.name}.lan") if jitter else None,
             name=f"to-{self.name}",
         )
         self.stack.ip.route_add("default", "eth0", via=gateway)
-        self.bwlimiter = None
-        if bwlimit_rate_bps is not None:
-            self.bwlimiter = self.stack.install_bwlimiter(
-                "eth0", default_rate_bps=bwlimit_rate_bps
-            )
+        self.bwlimiter = self.stack.install_bwlimiter("eth0")
         return link
 
     @property

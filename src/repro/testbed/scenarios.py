@@ -90,8 +90,6 @@ class OneLabScenario:
         node_address: str,
         gateway_address: str,
         prefix_len: int = 24,
-        card_cls=GlobetrotterGT3G,
-        authorize_slice: bool = True,
     ) -> PlanetLabNode:
         """Equip another PlanetLab site with UMTS on the same operator.
 
@@ -99,8 +97,8 @@ class OneLabScenario:
         testbed with the possibility of using a UMTS interface" — so
         scenarios can grow extra UMTS-capable nodes: each gets its own
         LAN tail, its own 3G card camping on a new cell of the same
-        operator, a sliver of the experiment slice, and (by default)
-        authorization for the ``umts`` vsys script.
+        operator, a sliver of the experiment slice, and authorization
+        for the ``umts`` vsys script.
         """
         node = PlanetLabNode(self.sim, name, self.streams.fork(name))
         node.attach_lan(
@@ -112,9 +110,8 @@ class OneLabScenario:
         )
         node.create_sliver(self.slice)
         cell = self.operator.new_cell()
-        node.install_umts_card(card_cls, cell, apn=self.operator.apn)
-        if authorize_slice:
-            node.authorize_umts(self.slice.name)
+        node.install_umts_card(GlobetrotterGT3G, cell, apn=self.operator.apn)
+        node.authorize_umts(self.slice.name)
         return node
 
     @property

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from repro.sim.monitor import TimeSeries, ordered_sum, window_fold
 from repro.traffic.records import ReceiverLog, SenderLog
@@ -86,9 +86,7 @@ class ItgDecoder:
             return 0.0
         return self.sender_log.sent[-1].sent_at
 
-    def _span(self, end: Optional[float]) -> float:
-        if end is not None:
-            return end
+    def _span(self) -> float:
         last_arrival = (
             self.receiver_log.received[-1].received_at
             if self.receiver_log.received
@@ -114,25 +112,25 @@ class ItgDecoder:
         out.times, out.values = window_fold(samples, self.window, 0.0, end, mean)
         return out
 
-    def bitrate_kbps(self, end: Optional[float] = None) -> TimeSeries:
+    def bitrate_kbps(self) -> TimeSeries:
         """Received payload bitrate per window, in kbit/s."""
         origin = self.origin
         series = self._windowed(
             "bitrate_kbps",
             ((record.received_at - origin, record.size * 8.0) for record in self._arrivals()),
-            self._span(end) - origin,
+            self._span() - origin,
             mean=False,
         )
         series.values = [bits / self.window / 1000.0 for bits in series.values]
         return series
 
-    def owd_series(self, end: Optional[float] = None) -> TimeSeries:
+    def owd_series(self) -> TimeSeries:
         """Mean one-way delay per window, in seconds."""
         origin = self.origin
         return self._windowed(
             "owd",
             ((record.received_at - origin, record.owd) for record in self._arrivals()),
-            self._span(end) - origin,
+            self._span() - origin,
             mean=True,
         )
 
@@ -143,14 +141,14 @@ class ItgDecoder:
                 yield record.received_at - origin, abs(record.owd - previous_owd)
             previous_owd = record.owd
 
-    def jitter_series(self, end: Optional[float] = None) -> TimeSeries:
+    def jitter_series(self) -> TimeSeries:
         """Mean |OWD variation| between consecutive arrivals, per window."""
         origin = self.origin
         return self._windowed(
-            "jitter", self._jitter_samples(origin), self._span(end) - origin, mean=True
+            "jitter", self._jitter_samples(origin), self._span() - origin, mean=True
         )
 
-    def loss_series(self, end: Optional[float] = None) -> TimeSeries:
+    def loss_series(self) -> TimeSeries:
         """Packets lost per window (binned by send time)."""
         origin, has_seq = self.origin, self.receiver_log.has_seq
         return self._windowed(
@@ -163,7 +161,7 @@ class ItgDecoder:
             mean=False,
         )
 
-    def rtt_series(self, end: Optional[float] = None) -> TimeSeries:
+    def rtt_series(self) -> TimeSeries:
         """Mean RTT per window (binned by probe send time), seconds."""
         samples = sorted(
             (record.completed_at - record.rtt, record.rtt)

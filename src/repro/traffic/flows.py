@@ -35,7 +35,6 @@ class FlowSpec:
         duration: float = 120.0,
         dport: int = 8999,
         meter: str = "rtt",
-        tos: int = 0,
         name: str = "flow",
     ):
         if not 0 < duration < math.inf:  # also rejects NaN
@@ -47,7 +46,6 @@ class FlowSpec:
         self.duration = duration
         self.dport = dport
         self.meter = meter
-        self.tos = tos
         self.name = name
 
     def expected_packet_rate(self) -> float:

@@ -55,7 +55,7 @@ class ScriptFlow(NamedTuple):
     start_delay: float
 
 
-def parse_script_line(line: str, default_duration: float = 120.0) -> Optional[ScriptFlow]:
+def parse_script_line(line: str) -> Optional[ScriptFlow]:
     """Parse one ITGSend flag line; returns None for blank/comment lines."""
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
@@ -63,7 +63,7 @@ def parse_script_line(line: str, default_duration: float = 120.0) -> Optional[Sc
     tokens = split_command(stripped)
     destination: Optional[str] = None
     dport = 8999
-    duration = default_duration
+    duration = 120.0
     idt = None
     ps = None
     meter = "owd"
@@ -127,11 +127,11 @@ def parse_script_line(line: str, default_duration: float = 120.0) -> Optional[Sc
     return ScriptFlow(destination, spec, start_delay)
 
 
-def parse_script(text: str, default_duration: float = 120.0) -> List[ScriptFlow]:
+def parse_script(text: str) -> List[ScriptFlow]:
     """Parse a whole script (one flow per non-comment line)."""
     flows = []
     for line in text.splitlines():
-        parsed = parse_script_line(line, default_duration=default_duration)
+        parsed = parse_script_line(line)
         if parsed is not None:
             flows.append(parsed)
     return flows

@@ -87,7 +87,7 @@ class ItgSender:
         size = max(MIN_PAYLOAD, min(MAX_PAYLOAD, size))
         payload = ProbePayload(self.flow_id, seq, kind="probe", meter=self.spec.meter)
         try:
-            self.socket.sendto(payload, size, self.dst, self.spec.dport, tos=self.spec.tos)
+            self.socket.sendto(payload, size, self.dst, self.spec.dport)
         except NetworkError:
             self.log.send_errors += 1
             return

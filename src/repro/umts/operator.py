@@ -40,12 +40,10 @@ class RadioProfile:
         base_delay: float,
         jitter: Optional[Distribution],
         queue_bytes: int,
-        loss_rate: float = 0.0,
     ):
         self.base_delay = base_delay
         self.jitter = jitter
         self.queue_bytes = queue_bytes
-        self.loss_rate = loss_rate
 
 
 class UmtsOperator:
@@ -61,17 +59,15 @@ class UmtsOperator:
         ggsn_internal: str = "10.199.0.1",
         uplink_profile: Optional[RadioProfile] = None,
         downlink_profile: Optional[RadioProfile] = None,
-        downlink_rate_bps: float = 1_800_000.0,
         rab_config: Optional[RabConfig] = None,
         block_inbound: bool = True,
-        max_sessions: int = 64,
         ggsn_name: Optional[str] = None,
     ):
         self.sim = sim
         self.streams = streams
         self.name = name
         self.apn = apn
-        self.downlink_rate_bps = downlink_rate_bps
+        self.downlink_rate_bps = 1_800_000.0
         self.rab_config = rab_config if rab_config is not None else RabConfig()
         self.uplink_profile = uplink_profile or RadioProfile(
             base_delay=0.09,
@@ -83,7 +79,7 @@ class UmtsOperator:
             jitter=LogNormalVariate(math.log(0.004), 1.0, high=0.3),
             queue_bytes=200_000,
         )
-        self.max_sessions = max_sessions
+        self.max_sessions = 64
         # ggsn_name must be unique per Internet router: the Gi peer
         # interface is derived from it, so two operators serving the
         # same APN (home + roaming partner) need distinct names.
@@ -115,8 +111,6 @@ class UmtsOperator:
         ggsn_address: str,
         router_address: str,
         prefix_len: int = 30,
-        rate_bps: float = 155_000_000.0,
-        delay: float = 0.002,
     ) -> Link:
         """Wire the GGSN's Gi interface to an Internet router.
 
@@ -128,7 +122,7 @@ class UmtsOperator:
         peer_name = f"to-{self.ggsn.stack.name}"
         peer = router.add_interface(EthernetInterface(peer_name))
         router.configure_interface(peer, router_address, prefix_len)
-        link = Link(self.sim, gi, peer, rate_bps=rate_bps, delay=delay)
+        link = Link(self.sim, gi, peer, rate_bps=155_000_000.0, delay=0.002)
         self.ggsn.stack.ip.route_add("default", "gi", via=router_address)
         router.ip.route_add(
             str(self.ggsn.pool.prefix), peer_name, via=ggsn_address
@@ -169,7 +163,6 @@ class UmtsOperator:
             rate_bps=rab_config.grades[rab_config.initial_grade_index],
             delay=self.uplink_profile.base_delay,
             queue_bytes=self.uplink_profile.queue_bytes,
-            loss_rate=self.uplink_profile.loss_rate,
             jitter=self.uplink_profile.jitter,
             rng=rng_up,
             name=f"{self.name}:ul:{session}",
@@ -181,7 +174,6 @@ class UmtsOperator:
             rate_bps=self.downlink_rate_bps,
             delay=self.downlink_profile.base_delay,
             queue_bytes=self.downlink_profile.queue_bytes,
-            loss_rate=self.downlink_profile.loss_rate,
             jitter=self.downlink_profile.jitter,
             rng=rng_down,
             name=f"{self.name}:dl:{session}",

@@ -275,12 +275,8 @@ def test_refused_ip_line_fails_start_with_a_reply(scenario, stale, message):
 def test_connection_reports_the_ipcp_dns_while_up(scenario):
     """pppd's ``usepeerdns``: IPCP hands the mobile the GGSN's address."""
     assert scenario.umts_command().start_blocking().ok
-    primary, _secondary = scenario.napoli.connection.dns_servers()
+    primary, _secondary = scenario.napoli.connection.pppd.ipcp.dns_servers
     assert primary == scenario.operator.ggsn.internal_address
-
-
-def test_dns_servers_when_down(scenario):
-    assert scenario.napoli.connection.dns_servers() == (None, None)
 
 
 def test_back_to_back_status_calls_do_not_interleave():

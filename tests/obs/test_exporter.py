@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.obs import MetricsRegistry, render_openmetrics, write_openmetrics
+from repro.obs import MetricsRegistry, render_openmetrics
 from repro.obs.exporter import format_value, is_volatile, openmetrics_name
 
 
@@ -83,14 +83,6 @@ def test_unknown_family_type_is_an_error():
 
 def test_empty_registry_is_just_eof():
     assert render_openmetrics(MetricsRegistry()) == "# EOF\n"
-
-
-def test_write_openmetrics_returns_the_byte_count(tmp_path):
-    path = tmp_path / "metrics.om"
-    written = write_openmetrics(_populated(), str(path))
-    data = path.read_bytes()
-    assert written == len(data)
-    assert data.endswith(b"# EOF\n")
 
 
 class TestNameMapping:

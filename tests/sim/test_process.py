@@ -230,6 +230,38 @@ def test_unhandled_interrupt_kills_process():
     assert not p.alive
 
 
+def test_process_whose_generator_raises_is_dead():
+    sim = Simulator()
+    observed = []
+
+    def proc():
+        yield 1.0
+        raise RuntimeError("crashed")
+
+    p = spawn(sim, proc())
+    p.done.wait(observed.append)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert not p.alive
+    assert observed == []  # a crash is not a completion
+
+
+def test_process_raising_while_interrupted_is_dead():
+    sim = Simulator()
+
+    def proc():
+        try:
+            yield 100.0
+        except Interrupt:
+            raise ValueError("cleanup failed")
+
+    p = spawn(sim, proc())
+    sim.schedule(1.0, p.interrupt)
+    with pytest.raises(ValueError):
+        sim.run()
+    assert not p.alive
+
+
 def test_interrupt_cancels_pending_sleep():
     sim = Simulator()
     trace = []

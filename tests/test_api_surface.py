@@ -12,24 +12,12 @@ import pytest
 
 import repro
 
-SUBPACKAGES = [
-    "repro",
-    "repro.analysis",
-    "repro.core",
-    "repro.fleet",
-    "repro.modem",
-    "repro.net",
-    "repro.netfilter",
-    "repro.obs",
-    "repro.ppp",
-    "repro.routing",
-    "repro.scenarios",
-    "repro.sim",
-    "repro.testbed",
-    "repro.traffic",
-    "repro.umts",
-    "repro.vserver",
-    "repro.vsys",
+#: ``repro`` and every package below it, found rather than listed, so a
+#: new subpackage is checked from the day it lands.
+SUBPACKAGES = ["repro"] + [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if info.ispkg
 ]
 
 

@@ -114,6 +114,19 @@ def test_concurrent_calls_rejected(sim, daemon):
     sim.run()
 
 
+def test_crashed_frontend_frees_the_connection(sim, daemon, monkeypatch):
+    conn = daemon.open("unina_umts", "echo")
+
+    def broken_send(line):
+        raise RuntimeError("pipe broke")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(conn.pipe, "send_request", broken_send)
+        with pytest.raises(RuntimeError):
+            conn.call_blocking(["one"])
+    assert conn.call_blocking(["two"]).lines == ["unina_umts: two"]
+
+
 def test_call_from_inside_process(sim, daemon):
     conn = daemon.open("unina_umts", "echo")
     results = []

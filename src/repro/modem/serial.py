@@ -19,7 +19,7 @@ Fault modes on the modem → host direction:
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from repro.faults.plan import Garbled
 from repro.sim.engine import Simulator
@@ -55,7 +55,7 @@ class SerialPort:
         self.host_writes += 1
         self._to_modem.put(item)
 
-    def read(self, timeout: Optional[float] = None) -> StoreGet:
+    def read(self, timeout: Optional[float] = None) -> Union[Store, StoreGet]:
         """Yieldable token resolving to the next modem → host item.
 
         With ``timeout`` the yield resumes with the
@@ -105,7 +105,7 @@ class SerialPort:
             return
         self._to_host.put(item)
 
-    def _modem_read(self) -> StoreGet:
+    def _modem_read(self) -> Union[Store, StoreGet]:
         return self._to_modem.get()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -24,7 +24,7 @@ attempt mid-flight.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional
+from typing import Any, Callable, Deque, Generator, List, Optional, Union
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.errors import SimulationError
@@ -96,9 +96,9 @@ class Signal:
 
 
 class StoreGet:
-    """Handle returned by :meth:`Store.get`; yielded by a process."""
+    """Handle returned by a timed :meth:`Store.get`; yielded by a process."""
 
-    def __init__(self, store: "Store", timeout: Optional[float] = None) -> None:
+    def __init__(self, store: "Store", timeout: float) -> None:
         self.store = store
         self.timeout = timeout
 
@@ -106,9 +106,10 @@ class StoreGet:
 class Store:
     """Unbounded FIFO channel between processes.
 
-    ``put`` never blocks.  ``get`` returns a :class:`StoreGet` token the
-    consumer yields on; the consumer resumes with the item as the value
-    of the yield.  Used to model vsys FIFO pipes and serial lines.
+    ``put`` never blocks.  ``get`` returns a token the consumer yields
+    on: the store itself, or a :class:`StoreGet` for a timed get.  The
+    consumer resumes with the item as the value of the yield.  Used to
+    model vsys FIFO pipes and serial lines.
     """
 
     def __init__(self, sim: Simulator, name: str = "") -> None:
@@ -139,13 +140,13 @@ class Store:
         only the head item can be in this state)."""
         self._items.appendleft(item)
 
-    def get(self, timeout: Optional[float] = None) -> StoreGet:
+    def get(self, timeout: Optional[float] = None) -> Union["Store", StoreGet]:
         """Return a token to yield on; resolves to the next item.
 
         With ``timeout`` the yield resumes with :data:`TIMEOUT` if no
         item arrives within that many simulated seconds.
         """
-        return StoreGet(self, timeout)
+        return self if timeout is None else StoreGet(self, timeout)
 
     def get_nowait(self) -> Any:
         """Pop the next item immediately, or raise ``IndexError``."""
@@ -211,17 +212,14 @@ class Process:
         if not self.alive:
             return
         try:
-            yielded = self._gen.throw(exc)
+            self._wait_on(self._gen.throw(exc))
         except StopIteration as stop:
             self._finish(stop.value)
-            return
         except Interrupt:
             self._finish(None)
-            return
         except BaseException:
-            self.alive = False  # the generator crashed; ``done`` never fires
+            self.alive = False  # crashed or bad yield; ``done`` never fires
             raise
-        self._wait_on(yielded)
 
     def _resume(self, value: Any) -> None:
         if not self.alive:
@@ -232,14 +230,12 @@ class Process:
         self._waiting_store = None
         self._store_callback = None
         try:
-            yielded = self._gen.send(value)
+            self._wait_on(self._gen.send(value))
         except StopIteration as stop:
             self._finish(stop.value)
-            return
         except BaseException:
-            self.alive = False  # the generator crashed; ``done`` never fires
+            self.alive = False  # as in :meth:`_throw`
             raise
-        self._wait_on(yielded)
 
     def _finish(self, value: Any) -> None:
         self.alive = False
@@ -253,6 +249,9 @@ class Process:
             self._waiting_signal = yielded
             self._signal_callback = self._resume
             yielded.wait(self._resume)
+        elif isinstance(yielded, Store):  # an untimed get
+            self._waiting_store = yielded
+            yielded._register_getter(self._resume)
         elif isinstance(yielded, StoreGet):
             self._wait_store(yielded)
         elif isinstance(yielded, Process):
@@ -266,12 +265,13 @@ class Process:
             raise SimulationError(f"process {self.name!r} yielded unsupported {yielded!r}")
 
     def _wait_store(self, token: StoreGet) -> None:
-        """Block on a store, optionally racing a timeout timer.
+        """Block on a store, racing a timeout timer.
 
         Exactly one of the two closures settles the wait; the loser
         cleans up after itself (the timer is cancelled, or a same-instant
         delivery is requeued at the store head), so the process is never
-        resumed twice.
+        resumed twice.  An untimed wait needs neither: :meth:`_wait_on`
+        registers :meth:`_resume` itself as the getter.
         """
         store = token.store
         settled = [False]
@@ -297,8 +297,7 @@ class Process:
         self._waiting_store = store
         self._store_callback = on_item
         store._register_getter(on_item)
-        if token.timeout is not None:
-            self._pending_event = self._sim.schedule(token.timeout, on_timeout)
+        self._pending_event = self._sim.schedule(token.timeout, on_timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.alive else "done"

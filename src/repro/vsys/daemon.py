@@ -9,7 +9,7 @@ from typing import Any, Callable, Dict, Generator, List, NamedTuple, Optional, S
 from repro.faults.errors import VsysProtocolError
 from repro.shellwords import split_command
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, spawn
+from repro.sim.process import Interrupt, Process, spawn
 from repro.vsys.pipes import EOF, FifoPair
 
 
@@ -40,8 +40,6 @@ class VsysResult(NamedTuple):
 #: time, so the umts back-end is a generator.
 Handler = Callable[[str, List[str]], Any]
 
-_EXIT_SENTINEL = "__vsys_exit__"
-
 
 class VsysConnection:
     """The slice-side endpoint of one (script, slice) FIFO pair."""
@@ -54,46 +52,58 @@ class VsysConnection:
         self._inflight: Optional[Process] = None
         self.closed = False
 
-    def call(self, argv: List[str]) -> Process:
+    def call(self, argv: List[str], *, _stop: bool = False) -> Process:
         """Issue one request; returns a process yielding a :class:`VsysResult`.
 
         Requests are serialized per connection — real FIFOs interleave
         bytes otherwise — so concurrent calls raise :class:`VsysError`.
+        ``_stop`` is for :meth:`call_blocking` (see :meth:`_frontend`).
         """
         if self.closed:
             raise VsysError(f"connection to {self.script!r} is closed")
         if self._inflight is not None and self._inflight.alive:
             raise VsysError(f"connection to {self.script!r} is busy")
         line = " ".join(shlex.quote(arg) for arg in argv)
-
-        def frontend() -> Generator[Any, Any, VsysResult]:
-            self.pipe.send_request(line)
-            lines: List[str] = []
-            while True:
-                item = yield self.pipe.to_frontend.get()
-                if item is EOF:
-                    # The pair was torn down under us; surface a
-                    # clean failure instead of waiting forever.
-                    lines.append("vsys: connection closed")
-                    return VsysResult(1, lines)
-                if isinstance(item, tuple) and item[0] == _EXIT_SENTINEL:
-                    return VsysResult(item[1], lines)
-                lines.append(item)
-
         # The in-flight process is busy from the moment it is spawned,
         # not from when it first runs: two calls issued in the same
         # instant would otherwise both be accepted and interleave.
-        self._inflight = spawn(self._sim, frontend(), name=f"vsys-call:{self.script}")
+        self._inflight = spawn(
+            self._sim, self._frontend(line, _stop), name=f"vsys-call:{self.script}"
+        )
         return self._inflight
+
+    def _frontend(self, line: str, stop: bool) -> Generator[Any, Any, VsysResult]:
+        """Write the request, then resume once with the whole reply.
+
+        With ``stop`` the process ends :meth:`call_blocking`'s engine
+        walk in the very dispatch in which it returns (or is interrupted).
+        """
+        self.pipe.send_request(line)
+        try:
+            reply = yield self.pipe.to_frontend.get()
+        except Interrupt:
+            if stop:
+                self._sim.stop()
+            raise
+        if stop:
+            self._sim.stop()
+        if reply is EOF:
+            # The pair was torn down under us; surface a clean failure
+            # instead of waiting forever.
+            return VsysResult(1, ["vsys: connection closed"])
+        return VsysResult(*reply)
 
     def call_blocking(self, argv: List[str]) -> VsysResult:
         """Test/example convenience: issue a call and run the simulator
         until it completes.  Must not be used from inside a running
-        simulation — yield on :meth:`call`'s process there instead."""
-        process = self.call(argv)
+        simulation — yield on :meth:`call`'s process there instead.
+        Another callback's ``stop()`` only pauses the walk."""
+        process = self.call(argv, _stop=True)
+        sim = self._sim
         while process.alive:
-            if not self._sim.step():
+            if not sim.pending_count():
                 raise VsysError(f"vsys call {argv!r} deadlocked (no pending events)")
+            sim.run()
         return process.value
 
     def close(self) -> None:
@@ -173,7 +183,8 @@ class VsysDaemon:
     def _backend_loop(
         self, pipe: FifoPair, slice_name: str, script: str, handler: Handler
     ) -> Generator[Any, Any, None]:
-        """Root-context process servicing one FIFO pair until EOF."""
+        """Root-context process servicing one FIFO pair until EOF; each
+        request gets its reply as one :meth:`FifoPair.send_reply` item."""
         while True:
             line = yield pipe.to_backend.get()
             if line is EOF:
@@ -181,8 +192,7 @@ class VsysDaemon:
             try:
                 argv = _parse_request(line)
             except VsysProtocolError as exc:
-                pipe.send_response(f"vsys: unparsable request: {exc}")
-                pipe.to_frontend.put((_EXIT_SENTINEL, 1))
+                pipe.send_reply(1, [f"vsys: unparsable request: {exc}"])
                 continue
             trace = self._sim.trace
             span = (
@@ -208,9 +218,7 @@ class VsysDaemon:
                 metrics.histogram("vsys.latency_seconds").observe(
                     self._sim.now - started_at
                 )
-            for out_line in lines:
-                pipe.send_response(out_line)
-            pipe.to_frontend.put((_EXIT_SENTINEL, code))
+            pipe.send_reply(code, lines)
 
 
 def _parse_request(line: Any) -> List[str]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, List
 
 from repro.sim.engine import Simulator
 from repro.sim.process import Store
@@ -15,15 +15,16 @@ class FifoPair:
     """Two unidirectional pipes between a slice and the root context.
 
     ``to_backend`` carries request lines written by the front-end;
-    ``to_frontend`` carries response lines written by the back-end.
-    Real vsys materializes these as ``/vsys/<script>.in`` and
-    ``.out`` FIFOs inside the slice's filesystem.
+    ``to_frontend`` carries whole replies written by the back-end, one
+    ``(code, lines)`` item per request.  Real vsys materializes these
+    as ``/vsys/<script>.in`` and ``.out`` FIFOs inside the slice's
+    filesystem.
 
-    Writes go through :meth:`send_request` / :meth:`send_response`,
-    which consult the ``vsys`` fault point: a request line can arrive
-    truncated (the short-write hazard of a real FIFO), a response line
-    can be lost.  Only *string* lines are faultable — the exit sentinel
-    and EOF are control-plane objects whose loss would model a kernel
+    Writes go through :meth:`send_request` / :meth:`send_reply`, which
+    consult the ``vsys`` fault point: a request line can arrive
+    truncated (the short-write hazard of a real FIFO), and each string
+    line of a reply can be lost, drawn one by one in order.  The exit
+    code and EOF are never faultable — their loss would model a kernel
     bug, not an I/O hazard, and would wedge the peer forever.
     """
 
@@ -45,14 +46,17 @@ class FifoPair:
                 line = line[: max(1, len(line) // 2)]
         self.to_backend.put(line)
 
-    def send_response(self, item: Any) -> None:
-        """Back-end → front-end, through the fault layer."""
-        if isinstance(item, str):
-            faults = self._sim.faults
-            if faults is not None and faults.fire("vsys", "drop_response"):
+    def send_reply(self, code: int, lines: List[Any]) -> None:
+        """Back-end → front-end as one item, through the fault layer."""
+        faults = self._sim.faults
+        kept = []
+        for line in lines:
+            if (faults is not None and isinstance(line, str)
+                    and faults.fire("vsys", "drop_response")):
                 self.dropped_responses += 1
-                return
-        self.to_frontend.put(item)
+            else:
+                kept.append(line)
+        self.to_frontend.put((code, kept))
 
     def close(self) -> None:
         """Close the pair: both endpoints see EOF and exit."""

@@ -292,6 +292,45 @@ def test_invalid_yield_raises():
         sim.run()
 
 
+def test_process_yielding_unsupported_value_is_dead():
+    sim = Simulator()
+    observed = []
+
+    def proc():
+        yield 1.0
+        yield "bad"
+
+    p = spawn(sim, proc())
+    p.done.wait(observed.append)
+    with pytest.raises(SimulationError):
+        sim.run()
+    assert not p.alive
+    assert observed == []
+
+
+def test_process_yielding_unsupported_value_after_interrupt_is_dead():
+    sim = Simulator()
+
+    def proc():
+        try:
+            yield 100.0
+        except Interrupt:
+            yield "bad"
+
+    p = spawn(sim, proc())
+    sim.schedule(1.0, p.interrupt)
+    with pytest.raises(SimulationError):
+        sim.run()
+    assert not p.alive
+
+
+def test_untimed_store_get_is_the_store_itself():
+    sim = Simulator()
+    store = Store(sim, "s")
+    assert store.get() is store
+    assert store.get(timeout=1.0) is not store.get(timeout=1.0)
+
+
 def test_process_done_signal_fires():
     sim = Simulator()
     observed = []

@@ -11,10 +11,10 @@ The commands, in the order of the paper's narrative:
   printed as a summary table for both paths;
 - ``saturation`` — the Figures 4-7 experiment (1 Mbit/s flow) with the
   RAB adaptation timeline;
-- ``lint`` — the domain-aware static analyzer: determinism, RFC 1661
-  FSM exhaustiveness, annotation coverage for the strict packages,
-  retry policy, worker safety, metric names, resource lifecycles and
-  the lease protocol (exit 1 on findings; see docs/STATIC_ANALYSIS.md);
+- ``lint`` — the domain-aware static analyzer: determinism,
+  annotation coverage for the strict packages, retry policy, worker
+  safety, metric names, resource lifecycles and the lease protocol
+  (exit 1 on findings; see docs/STATIC_ANALYSIS.md);
 - ``chaos`` — the fault-injection campaign: every built-in scenario
   must recover or degrade cleanly, never hang, and (``--check``)
   reproduce its recovery timeline bit-identically (see docs/FAULTS.md);
@@ -602,7 +602,7 @@ def main(argv=None) -> int:
         p.add_argument("--duration", type=_duration, default=120.0)
     lint_parser = sub.add_parser(
         "lint",
-        help="domain-aware static analysis (determinism, FSM, typing, retry, "
+        help="domain-aware static analysis (determinism, typing, retry, "
         "worker safety, metric names, lifecycle, leases)",
     )
     lint_parser.add_argument(

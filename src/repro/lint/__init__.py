@@ -1,16 +1,12 @@
 """repro.lint — domain-aware static analysis for the reproduction.
 
-Eight rule families guard the properties the reproduction depends on:
+Seven rule families guard the properties the reproduction depends on:
 
 - **determinism** (:mod:`repro.lint.rules.determinism`) — no wall-clock
   reads, no unseeded or module-level randomness, no iteration-order
   dependence on sets or ``id()``; the golden run digests in
   :mod:`repro.bench.determinism` are only meaningful if every byte of
   simulated output is a pure function of the experiment seed;
-- **FSM exhaustiveness** (:mod:`repro.lint.rules.fsm`) — the RFC 1661
-  transition table in :mod:`repro.ppp.fsm` must cover the full
-  state × event matrix, name only declared target states, and keep
-  every state reachable; subclasses may only override policy hooks;
 - **typing** (:mod:`repro.lint.rules.typing_defs`) — the ``sim``,
   ``ppp``, ``vsys``, ``bench`` and ``parallel`` packages require fully
   annotated defs, mirroring the mypy ``disallow_untyped_defs`` escalation in
@@ -65,7 +61,6 @@ from repro.lint.runner import iter_python_files, lint_paths
 # Importing the rule modules registers every rule in RULES.
 from repro.lint.rules import (  # noqa: F401  (registration)
     determinism,
-    fsm,
     lease,
     lifecycle,
     metric_name,

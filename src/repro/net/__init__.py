@@ -34,16 +34,12 @@ from repro.net.interface import (
 )
 from repro.net.link import Channel, Link
 from repro.net.packet import ROOT_XID, Packet
-from repro.net.sniffer import CaptureFilter, CapturedPacket, Sniffer
 from repro.net.socket import UDPSocket
 from repro.net.stack import IPStack
 
 __all__ = [
     "AddressInUseError",
-    "CaptureFilter",
-    "CapturedPacket",
     "Channel",
-    "Sniffer",
     "DEFAULT_NETWORK",
     "EthernetInterface",
     "IPStack",

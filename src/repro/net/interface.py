@@ -46,9 +46,6 @@ class Interface:
         self.rx_bytes = 0
         self.tx_dropped = 0
         self.rx_dropped = 0
-        #: sniffer taps: callbacks invoked as ``tap(direction, packet)``
-        #: with direction "tx"/"rx" (see :mod:`repro.net.sniffer`).
-        self.taps = []
 
     def configure(self, address: AddressLike, prefix_len: int) -> None:
         """Assign an address and prefix length (e.g. 143.225.229.100/24)."""
@@ -99,8 +96,6 @@ class Interface:
         if accepted:
             self.tx_packets += 1
             self.tx_bytes += packet.length
-            for tap in self.taps:
-                tap("tx", packet)
         else:
             self.tx_dropped += 1
 
@@ -111,8 +106,6 @@ class Interface:
             return
         self.rx_packets += 1
         self.rx_bytes += packet.length
-        for tap in self.taps:
-            tap("rx", packet)
         self.stack.receive(packet, self)
 
     def __repr__(self) -> str:
@@ -133,8 +126,6 @@ class LoopbackInterface(Interface):
         """Loop the packet straight back into the stack."""
         self.tx_packets += 1
         self.tx_bytes += packet.length
-        for tap in self.taps:
-            tap("tx", packet)
         self.deliver(packet)
 
 

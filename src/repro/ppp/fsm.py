@@ -11,16 +11,15 @@ The automaton is **table-driven**: :data:`TRANSITIONS` declares one
 :class:`Transition` for every (state, event) pair of the
 :class:`FsmState` × :class:`FsmEvent` matrix — the RFC 1661 §4.1
 transition table restricted to the states a two-party dial-up visits.
-``repro lint``'s ``fsm-exhaustive`` rule statically extracts this
-table and proves it total (every pair handled, no undeclared target
-states, every state reachable), so an incomplete edit fails CI before
-any simulation runs.  :meth:`NegotiationFsm._dispatch` is the only
-consumer: it looks the pair up, runs the bound action method, and
-asserts the state landed inside the declared target set.
+``tests/lint/test_rules.py`` checks the imported table is total (every
+pair handled, every target a state, every state reachable, every
+action a method), so an incomplete edit fails the test suite.
+:meth:`NegotiationFsm._dispatch` is the only consumer: it looks the
+pair up, runs the bound action method, and asserts the state landed
+inside the declared target set.
 
 Subclasses provide the option policy (and *only* the option policy —
-the ``fsm-policy-override`` lint rule rejects subclasses that shadow
-the machinery):
+the same test rejects subclasses that shadow the machinery):
 
 - :meth:`initial_options` — what we ask for;
 - :meth:`check_peer_options` — ack or nak the peer's request;
@@ -89,19 +88,19 @@ class Transition(NamedTuple):
 
     ``action`` names the :class:`NegotiationFsm` method that handles
     the event; ``targets`` is the closed set of states the automaton
-    may be in afterwards (asserted on every dispatch, proved total by
-    the ``fsm-exhaustive`` lint rule).
+    may be in afterwards (asserted on every dispatch; the table's
+    totality is checked by ``tests/lint/test_rules.py``).
     """
 
     action: str
     targets: Tuple[FsmState, ...]
 
 
-#: Where every automaton starts (read by the lint reachability check).
+#: Where every automaton starts (the root of the test's reachability check).
 INITIAL_STATE = FsmState.CLOSED
 
 #: The full RFC 1661 event×state matrix.  Every (state, event) pair
-#: must be present — ``repro lint`` fails the build otherwise — so a
+#: must be present — ``tests/lint/test_rules.py`` fails otherwise — so a
 #: reader (or a reviewer) can audit the automaton without chasing
 #: ``if`` chains, exactly like the state table in RFC 1661 §4.1.
 TRANSITIONS: Dict[Tuple[FsmState, FsmEvent], Transition] = {
@@ -356,8 +355,8 @@ class NegotiationFsm:
     def _dispatch(self, event: FsmEvent, *args: Any) -> None:
         """Run the declared action for (state, event) and check the landing.
 
-        The assert is the runtime mirror of the static
-        ``fsm-exhaustive`` check: an action may only leave the
+        The assert is the runtime mirror of the table check in
+        ``tests/lint/test_rules.py``: an action may only leave the
         automaton in a state the table declared for its cell.
         """
         transition = TRANSITIONS[(self.state, event)]

@@ -119,8 +119,8 @@ class Simulator:
         self._buckets: Dict[float, List[Any]] = {}
         #: O(1) census of scheduled, not-yet-fired, not-cancelled events.
         self._live = 0
-        #: a partially dispatched batch left by :meth:`stop` or
-        #: :meth:`step`: ``(time, bucket, resume_index)``.
+        #: a partially dispatched batch left by :meth:`stop`, :meth:`step`
+        #: or a raising callback: ``(time, bucket, resume_index)``.
         self._active: Optional[Tuple[float, List[Any], int]] = None
         #: the walk returns after the current dispatch (set by
         #: :meth:`stop`, and by :meth:`step` for its single dispatch).
@@ -284,7 +284,9 @@ class Simulator:
 
         Returns ``True`` when a dispatch set ``_stopped`` (the rest of
         its batch is parked in ``_active`` for the next walk) and
-        ``False`` when nothing due by ``until`` remains.
+        ``False`` when nothing due by ``until`` remains.  A callback's
+        exception propagates with the rest of its batch parked the same
+        way.
         """
         times = self._times
         buckets = self._buckets
@@ -309,23 +311,30 @@ class Simulator:
                 i = 0
             plain = self.metrics is None and self.profile is None
             n = len(bucket)
-            while i < n:
-                cb = bucket[i]
-                if cb is None:  # cancelled: tombstoned cell
+            try:
+                while i < n:
+                    cb = bucket[i]
+                    if cb is None:  # cancelled: tombstoned cell
+                        i += 2
+                        continue
+                    args = bucket[i + 1]
+                    bucket[i] = None  # fired: a late cancel is a no-op
                     i += 2
-                    continue
-                args = bucket[i + 1]
-                bucket[i] = None  # fired: a late cancel is a no-op
-                i += 2
-                self._live -= 1
-                # The clock moves only when something actually
-                # fires: an all-cancelled bucket must not advance it.
-                self.now = when
-                if plain:
-                    cb(*args)
-                else:
-                    self._dispatch_instrumented(cb, args)
-                if self._stopped:
-                    if i < n:
-                        self._active = (when, bucket, i)
-                    return True
+                    self._live -= 1
+                    # The clock moves only when something actually
+                    # fires: an all-cancelled bucket must not advance it.
+                    self.now = when
+                    if plain:
+                        cb(*args)
+                    else:
+                        self._dispatch_instrumented(cb, args)
+                    if self._stopped:
+                        if i < n:
+                            self._active = (when, bucket, i)
+                        return True
+            except BaseException:
+                # A raising callback must not take the rest of its batch
+                # with it: those events are still counted in ``_live``.
+                if i < n:
+                    self._active = (when, bucket, i)
+                raise

@@ -74,29 +74,3 @@ def test_real_repetitions_aggregate():
     agg = aggregate_summaries(summaries)
     assert agg["loss_fraction"].maximum == 0.0
     assert agg["mean_bitrate_kbps"].mean == pytest.approx(72.0, rel=0.1)
-
-
-def test_sniffer_save(tmp_path):
-    from repro.net.interface import EthernetInterface
-    from repro.net.link import Link
-    from repro.net.sniffer import Sniffer
-    from repro.net.stack import IPStack
-    from repro.sim.engine import Simulator
-
-    sim = Simulator()
-    a = IPStack(sim, "a")
-    b = IPStack(sim, "b")
-    a_eth = a.add_interface(EthernetInterface("eth0"))
-    b_eth = b.add_interface(EthernetInterface("eth0"))
-    a.configure_interface(a_eth, "10.0.0.1", 24)
-    b.configure_interface(b_eth, "10.0.0.2", 24)
-    Link(sim, a_eth, b_eth)
-    sniffer = Sniffer(sim)
-    sniffer.attach(a_eth, directions="tx")
-    server = b.socket()
-    server.bind(port=9)
-    a.socket().sendto("x", 10, "10.0.0.2", 9)
-    sim.run(until=1.0)
-    out = tmp_path / "capture.txt"
-    sniffer.save(out)
-    assert "10.0.0.2:9" in out.read_text()

@@ -1,10 +1,15 @@
-"""Per-rule fixture tests: each fixture trips exactly its own rule."""
+"""Per-rule fixture tests: each fixture trips exactly its own rule.
 
+The shipped RFC 1661 transition table is checked here too, on the
+imported objects that run rather than by a lint rule.
+"""
+
+import itertools
 from pathlib import Path
 
-import pytest
-
 from repro.lint import lint_paths
+from repro.ppp.fsm import INITIAL_STATE, TRANSITIONS, FsmEvent, FsmState, NegotiationFsm
+from repro.ppp.lcp import LcpFsm
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -119,30 +124,6 @@ class TestRetryPolicy:
         assert lint_paths([retry_home], rule_ids=["retry-policy"]) == []
 
 
-class TestFsmExhaustive:
-    def test_complete_table_is_clean(self):
-        assert findings_for("fsm_complete.py", "fsm-exhaustive") == []
-
-    def test_broken_table_defects(self):
-        findings = findings_for("fsm_broken.py", "fsm-exhaustive")
-        messages = [f.message for f in findings]
-        assert "missing transition for (State.BUSY, Event.STOP)" in messages
-        assert "undeclared target state State.GONE" in messages
-        assert any("State.BUSY is unreachable" in m for m in messages)
-        assert any("State.ORPHAN is unreachable" in m for m in messages)
-
-
-class TestFsmPolicyOverride:
-    def test_flags_machinery_overrides_only(self):
-        findings = findings_for("policy_override.py", "fsm-policy-override")
-        assert locations(findings) == [
-            (20, "fsm-policy-override"),
-            (23, "fsm-policy-override"),
-        ]
-        assert "'receive'" in findings[0].message
-        assert "'_act_open'" in findings[1].message
-
-
 class TestWorkerSafety:
     def test_flags_every_runtime_mutation(self):
         findings = findings_for("worker_unsafe.py", "worker-safety")
@@ -182,38 +163,58 @@ class TestWorkerSafety:
 
 
 class TestRealTransitionTable:
-    """The acceptance proof: deleting any one entry from the shipped
-    RFC 1661 table makes fsm-exhaustive fail, so the rule genuinely
-    covers the full matrix LCP and IPCP inherit."""
+    """The table LCP and IPCP run, read from the live objects."""
 
-    FSM_PATH = Path(__file__).parents[2] / "src" / "repro" / "ppp" / "fsm.py"
+    #: What a protocol subclass inherits untouched: it may override only
+    #: the option policy (initial_options, check_peer_options, on_nak).
+    MACHINERY = {
+        "_dispatch",
+        "receive",
+        "_set_state",
+        "open",
+        "close",
+        "abort",
+        "_on_timeout",
+        "send_packet",
+    }
+    MACHINERY_PREFIXES = ("_act_", "_enter_", "_ack_")
 
     def test_shipped_table_is_complete(self):
-        assert lint_paths([self.FSM_PATH], rule_ids=["fsm-exhaustive"]) == []
-
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            '    (FsmState.OPENED, FsmEvent.RCV_ECHO_REQ): '
-            'Transition("_act_echo_reply", (FsmState.OPENED,)),\n',
-            '    (FsmState.CLOSING, FsmEvent.RCV_TERM_ACK): '
-            'Transition("_act_term_ack", (FsmState.CLOSED,)),\n',
-        ],
-    )
-    def test_deleting_one_transition_fails(self, entry, tmp_path):
-        source = self.FSM_PATH.read_text()
-        assert entry in source, "table entry moved; update the test"
-        mutated = tmp_path / "fsm_mutated.py"
-        mutated.write_text(source.replace(entry, ""))
-        findings = lint_paths([mutated], rule_ids=["fsm-exhaustive"])
-        assert len(findings) == 1
-        assert "missing transition for" in findings[0].message
+        """Every state × event pair has exactly one transition (RFC 1661
+        §4.1 answers every event in every state), every target is a
+        state, every state is reachable from INITIAL_STATE, and every
+        action is a NegotiationFsm method."""
+        matrix = set(itertools.product(FsmState, FsmEvent))
+        assert sorted(matrix - TRANSITIONS.keys(), key=str) == [], "missing transitions"
+        assert sorted(TRANSITIONS.keys() - matrix, key=str) == [], "keys outside the matrix"
+        edges = {state: set() for state in FsmState}
+        for (state, event), transition in TRANSITIONS.items():
+            assert transition.targets, (state, event)
+            assert all(isinstance(t, FsmState) for t in transition.targets), (state, event)
+            assert callable(getattr(NegotiationFsm, transition.action, None)), transition
+            edges[state].update(transition.targets)
+        reached, frontier = {INITIAL_STATE}, [INITIAL_STATE]
+        while frontier:
+            for target in edges[frontier.pop()] - reached:
+                reached.add(target)
+                frontier.append(target)
+        assert set(FsmState) - reached == set(), "unreachable states"
 
     def test_lcp_ipcp_only_override_policy(self):
-        ppp = Path(__file__).parents[2] / "src" / "repro" / "ppp"
-        assert lint_paths(
-            [ppp / "lcp.py", ppp / "ipcp.py"], rule_ids=["fsm-policy-override"]
-        ) == []
+        """No subclass of NegotiationFsm shadows the dispatch machinery."""
+        subclasses, frontier = [], [NegotiationFsm]
+        while frontier:
+            for subclass in frontier.pop().__subclasses__():
+                subclasses.append(subclass)
+                frontier.append(subclass)
+        assert LcpFsm in subclasses
+        for subclass in subclasses:
+            overrides = sorted(
+                name
+                for name in vars(subclass)
+                if name in self.MACHINERY or name.startswith(self.MACHINERY_PREFIXES)
+            )
+            assert overrides == [], f"{subclass.__qualname__} overrides {overrides}"
 
 
 class TestMetricName:

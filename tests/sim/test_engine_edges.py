@@ -175,3 +175,23 @@ def test_registry_attached_mid_run_counts_from_next_instant(traced):
     sim.schedule(3.0, lambda: None)
     sim.run()
     assert registry.counter("engine.events_dispatched").value == 3
+
+
+def test_raising_callback_keeps_the_rest_of_its_batch():
+    """An exception out of one callback leaves its same-instant
+    batch-mates queued: the next run dispatches them at that instant."""
+    sim = Simulator()
+    out = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.post(1.0, boom)
+    sim.post(1.0, out.append, "x")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.pending_count() == 1
+    sim.run()
+    assert out == ["x"]
+    assert sim.now == 1.0
+    assert sim.pending_count() == 0

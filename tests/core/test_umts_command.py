@@ -75,6 +75,29 @@ def test_bad_destination_reports_error(scenario):
     assert "umts:" in result.text
 
 
+@pytest.mark.parametrize(
+    "argv, reply",
+    [
+        (["add", "bogus"], "umts: Expected 4 octets in 'bogus'"),
+        (["add", "1.2.3.256"], "umts: Octet 256 (> 255) not permitted in '1.2.3.256'"),
+        (
+            ["add", "01.2.3.4"],
+            "umts: Leading zeros are not permitted in '01' in '01.2.3.4'",
+        ),
+        (["del", "138.96.250.100"], "umts: destination 138.96.250.100 was never added"),
+    ],
+)
+def test_refused_destination_reply_is_pinned(scenario, argv, reply):
+    """A destination the back-end refuses gets exactly this one line,
+    and no ``iptables`` command runs for it."""
+    umts = scenario.umts_command()
+    assert umts.start_blocking().ok
+    history = list(scenario.napoli.stack.iptables.history)
+    result = umts._conn.call_blocking(argv)
+    assert (result.code, result.lines) == (1, [reply])
+    assert scenario.napoli.stack.iptables.history == history
+
+
 def test_usage_for_unknown_command(scenario):
     umts = scenario.umts_command()
     result = umts._conn.call_blocking(["frobnicate"])

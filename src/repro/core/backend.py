@@ -145,11 +145,7 @@ class UmtsBackend:
             self._log("start: connect failed, lock released")
             return 1, lines
         xid = self.resolve_xid(slice_name)
-        self.isolation.install(
-            xid,
-            self.connection.address(),
-            destinations=sorted(self.isolation.destinations),
-        )
+        self.isolation.install(xid, self.connection.address())
         self._log(f"start: connection up for {slice_name} (xid {xid})")
         lines.append(f"umts: routing rules enforced for slice {slice_name}")
         return 0, lines

@@ -29,7 +29,8 @@ Per project (class index, via ``summarize``/``finish``):
 - **class pairing** — an acquire stored on an object (``self.pppd =
   Pppd(...)``, ``best._span = trace.span(...)``) must have a matching
   release call somewhere in the same class.
-- **command pairing** — ``ip``/``iptables`` commands that install
+- **command pairing** — ``ip``/``iptables`` commands (run, or recorded
+  beside the typed call that carries them out) that install
   kernel state (``route add ... table T``, ``rule add ... pref P``,
   ``-A CHAIN``) must have the matching removal (``route del/flush``,
   ``rule del``, ``-D``) in the same class.
@@ -126,7 +127,8 @@ PROTOCOLS: Tuple[_Protocol, ...] = (
     ),
 )
 
-#: Receivers whose ``.run(cmd)`` calls manipulate kernel state.
+#: Receivers whose ``.run(cmd)`` (or ``.record(cmd)``) calls stand for
+#: commands that manipulate kernel state.
 _COMMAND_RECEIVERS = frozenset({"ip", "iptables"})
 
 
@@ -622,10 +624,11 @@ def _token_after(tokens: List[str], word: str) -> Optional[str]:
 
 
 def _match_command(call: ast.Call) -> Optional[Tuple[str, str, str]]:
-    """``(kind, pairing key, text)`` of an ``ip``/``iptables`` ``.run()``."""
+    """``(kind, pairing key, text)`` of an ``ip``/``iptables`` ``.run()``,
+    or of a ``.record()`` of the line a typed call stands for."""
     if (
         not isinstance(call.func, ast.Attribute)
-        or call.func.attr != "run"
+        or call.func.attr not in ("run", "record")
         or not call.args
     ):
         return None

@@ -58,7 +58,11 @@ class PacketContext:
 
 
 class Rule:
-    """A list of matches plus a target, with iptables-style counters."""
+    """A list of matches plus a target, with iptables-style counters.
+
+    A rule is not changed once built, so its text (what ``-D`` by
+    specification compares) is rendered on first use and kept.
+    """
 
     def __init__(self, matches: List[Match], target: Target, comment: str = ""):
         self.matches = list(matches)
@@ -66,6 +70,7 @@ class Rule:
         self.comment = comment
         self.packets = 0
         self.bytes = 0
+        self._text: Optional[str] = None
 
     def try_apply(self, ctx: PacketContext):
         """If every match passes, bump counters and apply the target.
@@ -81,11 +86,13 @@ class Rule:
         return self.target.apply(ctx)
 
     def __repr__(self) -> str:
-        clauses = " ".join(repr(m) for m in self.matches)
-        text = f"{clauses} {self.target!r}".strip()
-        if self.comment:
-            text += f"  # {self.comment}"
-        return text
+        if self._text is None:
+            clauses = " ".join(repr(m) for m in self.matches)
+            text = f"{clauses} {self.target!r}".strip()
+            if self.comment:
+                text += f"  # {self.comment}"
+            self._text = text
+        return self._text
 
 
 class HookSite:

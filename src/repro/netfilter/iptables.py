@@ -1,10 +1,15 @@
 """The ``iptables`` command facade.
 
-Like :class:`repro.routing.IpRoute2`, this accepts both a typed API and
-the literal command strings the paper's back-end would run, e.g.::
+Like :class:`repro.routing.IpRoute2`, this offers a typed API and a
+parser for the literal command strings the paper's back-end runs, e.g.::
 
     iptables -t mangle -A OUTPUT -m xid --xid 510 -d 138.96.250.100 -j MARK --set-mark 1
     iptables -t filter -A OUTPUT -o ppp0 -m xid ! --xid 510 -j DROP
+
+:attr:`Iptables.history` is the node's shell trace: :meth:`Iptables.run`
+records each line it parses, and a caller that issues typed calls
+records the line it stands for with :meth:`Iptables.record` (the umts
+back-end does, so its trace reads like the real one's).
 
 Deletion by specification (``-D`` with the same clauses as the ``-A``)
 is supported because that is how the back-end removes per-destination
@@ -52,8 +57,12 @@ class Iptables:
 
     def __init__(self, netfilter: Netfilter):
         self.netfilter = netfilter
-        #: every command string executed through :meth:`run`.
+        #: every command line run or recorded, in order.
         self.history: List[str] = []
+
+    def record(self, command: str) -> None:
+        """Add ``command`` to :attr:`history` for the typed call that carries it out."""
+        self.history.append(command)
 
     # -- typed API ---------------------------------------------------
 
@@ -73,7 +82,8 @@ class Iptables:
 
     def delete_spec(self, table: str, chain: str, spec: Rule) -> None:
         """``-D`` by specification: remove the first rule whose clauses
-        render identically to ``spec`` (how iptables matches them)."""
+        render identically to ``spec`` (how iptables matches them).
+        ``spec`` may be a rule of the chain itself."""
         target_chain = self._chain(table, chain)
         wanted = repr(spec)
         for rule in target_chain.rules:
@@ -116,7 +126,7 @@ class Iptables:
         A malformed line (an unbalanced quote, a bad number, address or
         policy) raises :class:`IptablesError`.
         """
-        self.history.append(command)
+        self.record(command)
         try:
             return self._execute(split_command(command), command)
         except ValueError as exc:

@@ -10,9 +10,9 @@ generated them — the feature §2.3 of the paper builds on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Union
 
-from repro.net.addressing import IPv4Network, NetworkLike, network, prefix_ints
+from repro.net.addressing import IPv4Address, IPv4Network, NetworkLike, network, prefix_ints
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netfilter.chains import PacketContext
@@ -47,38 +47,52 @@ class ProtocolMatch(Match):
         return f"{self._bang()}-p {self.proto}"
 
 
-class SourceMatch(Match):
+class _PrefixMatch(Match):
+    """A ``-s``/``-d`` prefix held as integers.
+
+    A parsed :class:`IPv4Address` is taken as its ``/32`` without
+    building an :class:`IPv4Network`; ``prefix`` builds one on demand.
+    """
+
+    _option = ""
+
+    def __init__(self, prefix: Union[NetworkLike, IPv4Address], invert: bool = False):
+        super().__init__(invert)
+        if isinstance(prefix, IPv4Address):
+            self._net: int = prefix._ip  # type: ignore[attr-defined]
+            self._mask, self._len = 0xFFFFFFFF, 32
+        else:
+            self._net, self._mask, self._len = prefix_ints(network(prefix))
+
+    @property
+    def prefix(self) -> IPv4Network:
+        """The matched prefix as an :class:`IPv4Network`."""
+        return IPv4Network((self._net, self._len))
+
+    def __repr__(self) -> str:
+        return f"{self._bang()}{self._option} {IPv4Address(self._net)}/{self._len}"
+
+
+class SourceMatch(_PrefixMatch):
     """``-s <prefix>``."""
 
-    def __init__(self, prefix: NetworkLike, invert: bool = False):
-        super().__init__(invert)
-        self.prefix: IPv4Network = network(prefix)
-        self._net, self._mask, _ = prefix_ints(self.prefix)
+    _option = "-s"
 
     def matches(self, ctx: "PacketContext") -> bool:
         """Source inside the prefix, honouring inversion."""
         inside = ctx.packet.src._ip & self._mask == self._net  # type: ignore[attr-defined]
         return inside != self.invert
 
-    def __repr__(self) -> str:
-        return f"{self._bang()}-s {self.prefix}"
 
-
-class DestinationMatch(Match):
+class DestinationMatch(_PrefixMatch):
     """``-d <prefix>``."""
 
-    def __init__(self, prefix: NetworkLike, invert: bool = False):
-        super().__init__(invert)
-        self.prefix: IPv4Network = network(prefix)
-        self._net, self._mask, _ = prefix_ints(self.prefix)
+    _option = "-d"
 
     def matches(self, ctx: "PacketContext") -> bool:
         """Destination inside the prefix, honouring inversion."""
         inside = ctx.packet.dst._ip & self._mask == self._net  # type: ignore[attr-defined]
         return inside != self.invert
-
-    def __repr__(self) -> str:
-        return f"{self._bang()}-d {self.prefix}"
 
 
 class InInterfaceMatch(Match):

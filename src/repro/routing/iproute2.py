@@ -1,10 +1,12 @@
 """An ``ip`` command facade over the RPDB.
 
 The privileged back-end in the paper shells out to ``iproute2``.  To
-keep that fidelity, :class:`IpRoute2` accepts the same command strings
-(``"route add default dev ppp0 table umts"``) in addition to a typed
-Python API, and records every executed command so tests can assert the
-exact sequence the back-end issued.
+keep that fidelity, :class:`IpRoute2` parses the same command strings
+(``"route add default dev ppp0 table umts"``) besides its typed Python
+API.  :attr:`IpRoute2.history` holds every line :meth:`IpRoute2.run`
+parsed and every line a caller of the typed API recorded with
+:meth:`IpRoute2.record`, so tests can assert the exact sequence the
+back-end issued.
 """
 
 from __future__ import annotations
@@ -26,8 +28,12 @@ class IpRoute2:
 
     def __init__(self, rpdb: RoutingPolicyDatabase):
         self.rpdb = rpdb
-        #: every command string executed through :meth:`run`.
+        #: every command line run or recorded, in order.
         self.history: List[str] = []
+
+    def record(self, command: str) -> None:
+        """Add ``command`` to :attr:`history` for the typed call that carries it out."""
+        self.history.append(command)
 
     # -- typed API ---------------------------------------------------
 
@@ -42,8 +48,11 @@ class IpRoute2:
         replace: bool = False,
     ) -> Route:
         """Install a route (``ip route add``; ``replace`` for ``ip route replace``)."""
-        route = Route(prefix, dev, via=via, src=src, metric=metric)
-        self.rpdb.table(table).add(route, replace=replace)
+        try:
+            route = Route(prefix, dev, via=via, src=src, metric=metric)
+            self.rpdb.table(table).add(route, replace=replace)
+        except ValueError as exc:
+            raise IpRouteError(str(exc)) from exc
         return route
 
     def route_del(
@@ -111,7 +120,7 @@ class IpRoute2:
         else raises :class:`IpRouteError`, as does a malformed line (an
         unbalanced quote, a bad number, prefix or address).
         """
-        self.history.append(command)
+        self.record(command)
         try:
             self._execute(split_command(command), command)
         except ValueError as exc:

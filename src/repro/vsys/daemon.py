@@ -50,6 +50,9 @@ class VsysConnection:
         self.script = script
         self.slice_name = slice_name
         self._inflight: Optional[Process] = None
+        #: replies the back-end still owes to interrupted calls; the
+        #: next call discards that many before it reads its own.
+        self._stale = 0
         self.closed = False
 
     def call(self, argv: List[str], *, _stop: bool = False) -> Process:
@@ -77,11 +80,17 @@ class VsysConnection:
 
         With ``stop`` the process ends :meth:`call_blocking`'s engine
         walk in the very dispatch in which it returns (or is interrupted).
+        Replies owed to interrupted calls come first and are discarded;
+        an EOF among them still ends the call.
         """
         self.pipe.send_request(line)
         try:
             reply = yield self.pipe.to_frontend.get()
+            while self._stale and reply is not EOF:
+                self._stale -= 1
+                reply = yield self.pipe.to_frontend.get()
         except Interrupt:
+            self._stale += 1
             if stop:
                 self._sim.stop()
             raise

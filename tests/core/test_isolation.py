@@ -136,10 +136,10 @@ def test_invalid_destination_rejected(stack):
 def test_destinations_survive_stop_start(stack):
     iso = IsolationManager(stack)
     iso.add_destination("138.96.250.100")
-    iso.install(510, "10.199.3.7", destinations=sorted(iso.destinations))
+    iso.install(510, "10.199.3.7")
     iso.remove()
     assert "138.96.250.100" in iso.destinations
-    iso.install(510, "10.199.3.8", destinations=sorted(iso.destinations))
+    iso.install(510, "10.199.3.8")
     packet = Packet("138.96.250.100", xid=510, size=10)
     stack.netfilter.run_chain("mangle", "OUTPUT", packet, now=0.0)
     assert packet.mark == UMTS_FWMARK
@@ -147,7 +147,7 @@ def test_destinations_survive_stop_start(stack):
 
 def test_remove_clears_everything(stack):
     iso = IsolationManager(stack)
-    iso.install(510, "10.199.3.7", destinations=[])
+    iso.install(510, "10.199.3.7")
     iso.add_destination("138.96.250.100")
     iso.remove()
     assert not iso.active
@@ -167,7 +167,7 @@ def test_remove_idempotent(stack):
 def test_add_before_install_applies_at_install(stack):
     iso = IsolationManager(stack)
     iso.add_destination("138.96.250.100")
-    iso.install(510, "10.199.3.7", destinations=sorted(iso.destinations))
+    iso.install(510, "10.199.3.7")
     packet = Packet("138.96.250.100", xid=510, size=10)
     stack.netfilter.run_chain("mangle", "OUTPUT", packet, now=0.0)
     assert packet.mark == UMTS_FWMARK

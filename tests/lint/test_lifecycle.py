@@ -109,7 +109,10 @@ class TestRealSources:
 
     def test_deleting_the_rpdb_rule_del_reports_the_install(self, tmp_path):
         source = (SRC / "core" / "isolation.py").read_text()
-        removal = '        self.stack.ip.run(f"rule del pref {PREF_SRC_RULE}")\n'
+        removal = (
+            '        self.stack.ip.record(f"rule del pref {PREF_SRC_RULE}")\n'
+            "        self.stack.ip.rule_del(pref=PREF_SRC_RULE)\n"
+        )
         assert removal in source, "isolation teardown moved; update the test"
         mutated = tmp_path / "isolation_mutated.py"
         mutated.write_text(source.replace(removal, ""))

@@ -91,6 +91,14 @@ class TestParseErrors:
         assert sorted(f.rule for f in findings) == ["parse-error", "wall-clock"]
 
 
+#: isolation.py's teardown of the source-address RPDB rule: the line it
+#: records and the typed call that carries it out.
+SRC_RULE_TEARDOWN = (
+    '        self.stack.ip.record(f"rule del pref {PREF_SRC_RULE}")\n'
+    "        self.stack.ip.rule_del(pref=PREF_SRC_RULE)\n"
+)
+
+
 class TestProjectPhase:
     def test_mutated_real_modules_report_class_pairing_findings(self, tmp_path):
         # Copy two real modules and break both: backend.py's catch-all
@@ -105,7 +113,7 @@ class TestProjectPhase:
         isolation = tmp_path / "isolation.py"
         isolation.write_text(
             (SRC / "core" / "isolation.py").read_text().replace(
-                '        self.stack.ip.run(f"rule del pref {PREF_SRC_RULE}")\n', ""
+                SRC_RULE_TEARDOWN, ""
             )
         )
         findings = lint_paths([tmp_path], rule_ids=["resource-lifecycle"])
@@ -118,7 +126,7 @@ class TestProjectPhase:
 
     def test_pragma_suppresses_a_project_phase_finding(self, tmp_path):
         source = (SRC / "core" / "isolation.py").read_text().replace(
-            '        self.stack.ip.run(f"rule del pref {PREF_SRC_RULE}")\n', ""
+            SRC_RULE_TEARDOWN, ""
         )
         target = tmp_path / "isolation.py"
         target.write_text(source)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.addressing import IPv4Network, ip
 from repro.net.packet import Packet
 from repro.netfilter.chains import (
     HOOK_OUTPUT,
@@ -53,6 +54,22 @@ def test_destination_match_prefix():
     assert DestinationMatch("138.96.250.0/24").matches(ctx_for(p))
     assert DestinationMatch("138.96.250.100").matches(ctx_for(p))
     assert not DestinationMatch("10.0.0.0/8").matches(ctx_for(p))
+
+
+@pytest.mark.parametrize("cls", [DestinationMatch, SourceMatch])
+@pytest.mark.parametrize("invert", [False, True])
+def test_prefix_match_from_parsed_address_equals_text(cls, invert):
+    """A match built from a parsed address is the text-built ``/32``."""
+    host = "138.96.250.100"
+    parsed = cls(ip(host), invert=invert)
+    text = cls(host, invert=invert)
+    assert repr(parsed) == repr(text)
+    assert repr(parsed).endswith(f" {host}/32")
+    assert parsed.prefix == text.prefix == IPv4Network(f"{host}/32")
+    for other in (host, "138.96.250.101", "10.0.0.1"):
+        packet = Packet(other, src=other)
+        assert parsed.matches(ctx_for(packet)) == text.matches(ctx_for(packet))
+        assert parsed.matches(ctx_for(packet)) == ((other == host) != invert)
 
 
 def test_source_match():

@@ -149,3 +149,32 @@ def test_session_event_count_is_pinned():
     replies = [umts._conn.call_blocking(argv) for argv in SESSION]
     assert all(reply.ok for reply in replies)
     assert scenario.sim.metrics.counter("engine.events_dispatched").value == 150
+
+
+def test_reply_owed_to_an_interrupted_call_is_discarded():
+    """The back-end still answers a call its front-end gave up on; the
+    next call on the connection skips that reply and gets its own."""
+    sim = Simulator()
+
+    def echo(slice_name, argv):
+        yield 5.0
+        return 0, [f"reply to {argv[0]}"]
+
+    conn = _daemon(sim, echo)
+    sim.schedule(1.0, lambda: conn._inflight.interrupt("cancelled"))
+    assert conn.call_blocking(["one"]) is None
+    assert sim.now == 1.0
+    result = conn.call_blocking(["two"])
+    assert result.lines == ["reply to two"]
+    assert sim.now == 10.0
+
+
+def test_eof_while_discarding_a_stale_reply_ends_the_call():
+    sim = Simulator()
+    conn = _daemon(sim, slow)
+    sim.schedule(1.0, lambda: conn._inflight.interrupt("cancelled"))
+    assert conn.call_blocking(["one"]) is None
+    sim.schedule(1.0, conn.pipe.close)
+    result = conn.call_blocking(["two"])
+    assert result.lines == ["vsys: connection closed"]
+    assert sim.now == 2.0

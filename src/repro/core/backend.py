@@ -152,7 +152,7 @@ class UmtsBackend:
 
     def _stop(self, slice_name: str):
         self.lock.require_owner(slice_name, "stop")
-        self.isolation.remove()
+        skipped = self.isolation.remove()
         try:
             code, lines = yield from self.connection.disconnect()
         finally:
@@ -160,6 +160,7 @@ class UmtsBackend:
             # hangup is interrupted, or the interface wedges forever.
             self.lock.release(slice_name)
             self._log(f"stop: connection down, lock released by {slice_name}")
+        lines.extend(f"umts: skipped, already gone: {detail}" for detail in skipped)
         lines.append("umts: rules deleted, interface unlocked")
         return code, lines
 
@@ -197,7 +198,8 @@ class UmtsBackend:
         if reason == "umts stop":
             return  # the _stop path already cleaned up
         if self.isolation.active:
-            self.isolation.remove()
+            for detail in self.isolation.remove():
+                self._log(f"cleanup: skipped, already gone: {detail}")
             self._log(f"cleanup: rules removed after '{reason}'")
         if self.lock.locked:
             holder = self.lock.holder

@@ -255,8 +255,7 @@ class GroupRun:
             ),
             flow_id=flow_id,
         )
-        process = sender.start()
-        process.done.wait(lambda value: events.put(("finished", value)))
+        sender.start().done.wait(lambda value: events.put(("finished", value)))
         kind, value = yield events.get()
         if kind == "revoked":
             sender.stop()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import random as _random
-from typing import Any, Optional
+from typing import Optional
 
 from repro.modem.serial import SerialPort
 from repro.ppp.frame import PPPFrame
@@ -79,6 +79,7 @@ class Modem3G:
         self.dial_delay = DEFAULT_DIAL_DELAY
         self.at_log: list = []
         self._process = spawn(sim, self._serial_loop(), name=f"modem:{self.port.name}")
+        self.port._attach_modem(self._process, self._take_frame)
 
     # -- attachment ----------------------------------------------------
 
@@ -136,25 +137,30 @@ class Modem3G:
         while True:
             item = yield self.port._modem_read()
             if self.data_mode:
-                handled = yield from self._handle_data_mode_item(item)
-                if handled:
+                if isinstance(item, PPPFrame):
+                    self._take_frame(item)
+                    continue
+                if isinstance(item, str) and item.strip() == "+++":
+                    yield ESCAPE_GUARD_TIME
+                    self.data_mode = False
+                    self._respond("OK")
                     continue
             if isinstance(item, str):
                 yield AT_RESPONSE_DELAY
                 yield from self._handle_command(item.strip())
 
-    def _handle_data_mode_item(self, item: Any):
-        """Returns True when the item was consumed by data mode."""
-        if isinstance(item, PPPFrame):
-            if self._data_call is not None:
-                self._data_call.send_uplink(item)
-            return True
-        if isinstance(item, str) and item.strip() == "+++":
-            yield ESCAPE_GUARD_TIME
-            self.data_mode = False
-            self._respond("OK")
-            return True
-        return False
+    def _take_frame(self, frame: PPPFrame) -> bool:
+        """Relay a host frame uplink; False outside data mode.
+
+        The loop above runs it for a queued frame; the port runs it in
+        the host's write dispatch while the loop waits on the idle line.
+        """
+        if not self.data_mode:
+            return False
+        call = self._data_call
+        if call is not None:
+            call.send_uplink(frame)
+        return True
 
     def _respond(self, *lines: str) -> None:
         for line in lines:

@@ -5,7 +5,11 @@ APN, dials ``*99#`` and waits for CONNECT; at that point the serial
 line is in data mode and pppd takes over.  :class:`SerialPppTransport`
 is that takeover: it adapts the host side of the serial port to the
 frame-transport interface :class:`~repro.ppp.daemon.Pppd` expects, and
-surfaces "NO CARRIER" as a carrier-lost event.
+surfaces "NO CARRIER" as a carrier-lost event.  An inbound frame that
+finds the transport's reader waiting alone on an idle line reaches
+pppd in the modem's write dispatch (see :mod:`repro.modem.serial`);
+one queued behind another item goes through the reader's loop, as
+"NO CARRIER" and garbled items always do.
 
 Fault surface: outbound LCP/IPCP frames consult the ``ppp`` injection
 point (Configure-Request loss, IPCP stall), and inbound
@@ -106,6 +110,7 @@ class SerialPppTransport:
         self.frames_dropped = 0
         self.frames_garbled = 0
         self._reader: Process = spawn(sim, self._read_loop(), name=f"ppp-tty:{port.name}")
+        port.attach_reader(self._reader, self._take_frame)
 
     def set_receiver(self, callback: Callable[[PPPFrame], None]) -> None:
         """Register pppd's inbound frame handler."""
@@ -130,13 +135,22 @@ class SerialPppTransport:
         """Detach from the port (pppd exited)."""
         self._reader.interrupt("transport stopped")
 
+    def _take_frame(self, frame: PPPFrame) -> bool:
+        """Hand an inbound frame to pppd.
+
+        The loop below runs it for a queued frame; the port runs it in
+        the modem's write dispatch while the loop waits on the idle line.
+        """
+        self.frames_received += 1
+        if self._receiver is not None:
+            self._receiver(frame)
+        return True
+
     def _read_loop(self):
         while True:
             item = yield self.port.read()
             if isinstance(item, PPPFrame):
-                self.frames_received += 1
-                if self._receiver is not None:
-                    self._receiver(item)
+                self._take_frame(item)
             elif isinstance(item, Garbled):
                 # Failed the HDLC frame check; count and discard.
                 self.frames_garbled += 1

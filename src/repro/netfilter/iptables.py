@@ -78,7 +78,10 @@ class Iptables:
 
     def delete(self, table: str, chain: str, rule: Rule) -> None:
         """``-D`` with a rule object previously returned by append/insert."""
-        self._chain(table, chain).delete(rule)
+        try:
+            self._chain(table, chain).delete(rule)
+        except ValueError as exc:
+            raise IptablesError(str(exc)) from exc
 
     def delete_spec(self, table: str, chain: str, spec: Rule) -> None:
         """``-D`` by specification: remove the first rule whose clauses

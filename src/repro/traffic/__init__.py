@@ -11,8 +11,8 @@ The pieces map one-to-one:
 
 - :class:`FlowSpec` (+ the :func:`voip_g711` / :func:`cbr` factories) —
   the workload definitions, including the paper's two flows;
-- :class:`ItgSender` — ITGSend: one process per flow, RTT metering via
-  receiver echoes;
+- :class:`ItgSender` — ITGSend: one self-rescheduling callback per
+  flow, RTT metering via receiver echoes;
 - :class:`ItgReceiver` — ITGRecv: logs arrivals, echoes RTT probes;
 - :class:`ItgDecoder` — ITGDec: windowed QoS series and summaries.
 """

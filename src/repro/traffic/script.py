@@ -168,5 +168,5 @@ class ItgScriptRunner:
 
     @property
     def finished(self) -> bool:
-        """True once every flow's generator completed."""
+        """True once every flow's sender has fired ``done``."""
         return all(sender.finished for sender in self.senders)

@@ -10,8 +10,8 @@ from repro.net.addressing import AddressLike, ip
 from repro.net.errors import NetworkError
 from repro.net.socket import UDPSocket
 from repro.obs.metrics import LATENCY_BUCKETS
-from repro.sim.engine import Simulator
-from repro.sim.process import Process, spawn
+from repro.sim.engine import Event, Simulator
+from repro.sim.process import Signal
 from repro.traffic.flows import MAX_PAYLOAD, MIN_PAYLOAD, FlowSpec
 from repro.traffic.records import ProbePayload, RttRecord, SenderLog, SentRecord
 
@@ -19,11 +19,15 @@ _flow_ids = itertools.count(1)
 
 
 class ItgSender:
-    """One flow's sender process.
+    """One flow's sender: a callback that emits a probe and reschedules itself.
 
     Emits probes following the spec's IDT/PS processes and, for flows
     metered in RTT mode, matches echo replies arriving on the same
-    socket back to their send timestamps.
+    socket back to their send timestamps.  Each tick is one engine
+    event: it emits a probe and schedules the next tick one IDT sample
+    later, until the flow's duration has passed.  :attr:`done` fires
+    in the tick that finds the duration over, or on a zero-delay event
+    after :meth:`stop`.
 
     The socket is any :class:`~repro.net.socket.UDPSocket` — a root
     context one or a sliver's (which is how the experiments run inside
@@ -48,7 +52,13 @@ class ItgSender:
         self.log = SenderLog(self.flow_id, spec.name)
         self._sent_times = {}
         self._seq = itertools.count()
-        self._process: Optional[Process] = None
+        #: Fires (with ``None``) once the flow has ended or was stopped.
+        self.done = Signal(sim, f"itgsend:{spec.name}.done")
+        self._duration = spec.duration
+        # The pending tick (None before start and after a stop), and the
+        # simulated time the first probe goes out.
+        self._event: Optional[Event] = None
+        self._started: Optional[float] = None
         # The IDT/PS samplers, bound once for the per-packet loop.
         self._idt_sample = spec.idt.sampler(rng)
         self._ps_sample = spec.ps.sampler(rng)
@@ -56,30 +66,35 @@ class ItgSender:
         if socket.port == 0:
             socket.bind()
 
-    def start(self, at: float = 0.0) -> Process:
+    def start(self, at: float = 0.0) -> "ItgSender":
         """Begin generating at simulation time offset ``at`` from now."""
-        if self._process is not None:
+        if self._started is not None:
             raise RuntimeError("sender already started")
-
-        def body():
-            if at > 0:
-                yield at
-            sim = self.sim
-            emit_one = self._emit_one
-            idt_sample = self._idt_sample
-            duration = self.spec.duration
-            started = sim.now
-            while sim.now - started < duration:
-                emit_one()
-                yield max(1e-6, idt_sample())
-
-        self._process = spawn(self.sim, body(), name=f"itgsend:{self.spec.name}")
-        return self._process
+        self._started = self.sim.now + at
+        self._event = self.sim.schedule(0.0, self._begin, at)
+        return self
 
     def stop(self) -> None:
-        """Abort the flow early."""
-        if self._process is not None and self._process.alive:
-            self._process.interrupt("stopped")
+        """Abort the flow early: no further probe; ``done`` fires on a
+        zero-delay event."""
+        if self._event is not None and not self.finished:
+            self._event.cancel()
+            self._event = None
+            self.sim.post(0.0, self.done.fire, None)
+
+    def _begin(self, at: float) -> None:
+        if at > 0:
+            self._event = self.sim.schedule(at, self._tick)
+        else:
+            self._tick()
+
+    def _tick(self) -> None:
+        sim = self.sim
+        if sim.now - self._started < self._duration:
+            self._emit_one()
+            self._event = sim.schedule(max(1e-6, self._idt_sample()), self._tick)
+        else:
+            self.done.fire(None)
 
     def _emit_one(self) -> None:
         seq = next(self._seq)
@@ -117,5 +132,5 @@ class ItgSender:
 
     @property
     def finished(self) -> bool:
-        """Whether the generation process has completed."""
-        return self._process is not None and not self._process.alive
+        """Whether the flow has ended (:attr:`done` has fired)."""
+        return self.done.fire_count > 0

@@ -5,8 +5,11 @@ it stands for and carries it out as a typed call.  Replaying the
 recorded lines through :meth:`IpRoute2.run` and :meth:`Iptables.run`
 on a fresh node must rebuild the same state after every step: the same
 chains (rule texts, in order), RPDB rules and routes, and the same
-error from the same step.  Random sequences mix ``install``, ``add``,
-``del`` and ``remove`` with adds before ``install``, duplicate adds,
+error from the same step.  ``remove`` runs every teardown step and
+returns the error text of each step that found its rule or route gone;
+its replay likewise runs every line and collects the same errors.
+Random sequences mix ``install``, ``add``, ``del`` and ``remove``
+with adds before ``install``, duplicate adds,
 deletes of destinations never added, refused addresses, and lines run
 by hand on the live node (which land in the trace too): a flushed
 chain, a stale RPDB rule or route, an identical MARK rule appended
@@ -89,7 +92,7 @@ def apply(live, iso, step):
     if kind == "install":
         return outcome(iso.install, step[1], step[2])
     if kind == "remove":
-        return outcome(iso.remove)
+        return iso.remove()
     if kind == "add":
         return outcome(iso.add_destination, step[1])
     if kind == "del":
@@ -98,15 +101,20 @@ def apply(live, iso, step):
     return outcome((live.iptables if facade == "iptables" else live.ip).run, line)
 
 
-def replay(replica, ip_lines, iptables_lines):
-    """Run the lines through the text parsers; the first error, if any."""
+def replay(replica, ip_lines, iptables_lines, keep_going=False):
+    """Run the lines through the text parsers.  The first error, if
+    any; with ``keep_going``, every line runs and the errors are
+    collected."""
     errors = []
     for run, lines in ((replica.ip.run, ip_lines), (replica.iptables.run, iptables_lines)):
         for line in lines:
             error = outcome(run, line)
             if error is not None:
                 errors.append(error)
-                break
+                if not keep_going:
+                    break
+    if keep_going:
+        return errors
     assert len(errors) <= 1, errors
     return errors[0] if errors else None
 
@@ -117,6 +125,13 @@ def check_against_replay(live, iso, replica, sequence):
         error = apply(live, iso, step)
         ip_lines = live.ip.history[ip_mark:]
         iptables_lines = live.iptables.history[iptables_mark:]
+        if step[0] == "remove":
+            replayed = replay(replica, ip_lines, iptables_lines, keep_going=True)
+            assert all(issubclass(kind, FACADE_ERRORS) for kind, _ in replayed), replayed
+            # The replay runs the ip lines first; teardown starts with iptables.
+            assert sorted(message for _, message in replayed) == sorted(error), step
+            assert state(live) == state(replica), step
+            continue
         if error is not None and not issubclass(error[0], FACADE_ERRORS):
             # Refused before any command: nothing recorded.
             assert ip_lines == iptables_lines == [], (step, error)

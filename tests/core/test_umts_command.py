@@ -315,3 +315,54 @@ def test_back_to_back_status_calls_do_not_interleave():
         umts.status()
     scenario.sim.run(until=scenario.sim.now + 5.0)
     assert first.value.lines == ["state: down", "interface: unlocked"]
+
+
+def test_stop_skips_a_rule_removed_by_hand_and_still_unlocks():
+    """``umts stop`` carries out every teardown step: the DROP rule a
+    hand ``iptables -F`` already removed is named and skipped, and the
+    hangup and unlock still happen."""
+    scenario = OneLabScenario(seed=3)
+    umts = scenario.umts_command()
+    assert umts.start_blocking().ok
+    stack = scenario.napoli.stack
+    stack.iptables.run("-t filter -F OUTPUT")
+    stopped = umts.stop_blocking()
+    assert stopped.ok, stopped.text
+    assert stopped.lines[-2:] == [
+        "umts: skipped, already gone: no rule matching spec in filter/OUTPUT: "
+        "-o ppp0 -m xid ! --xid 510 -j DROP",
+        "umts: rules deleted, interface unlocked",
+    ]
+    assert stack.iptables.history[-1] == "-t filter -D OUTPUT -o ppp0 -m xid ! --xid 510 -j DROP"
+    assert stack.ip.history[-3:] == [
+        "rule del pref 100", "rule del pref 101", f"route flush table {UMTS_TABLE}",
+    ]
+    assert not any(rule.table == UMTS_TABLE for rule in stack.ip.rule_list())
+    assert stack.ip.route_list(UMTS_TABLE) == []
+    status = umts.status_blocking()
+    assert "state: down" in status.lines[0]
+    assert "interface: unlocked" in status.lines
+    assert "ppp0" not in stack.interfaces
+    assert not scenario.napoli.umts_backend.isolation.active
+    # The next session starts and stops cleanly.
+    assert umts.start_blocking().ok
+    assert umts.stop_blocking().lines[-1] == "umts: rules deleted, interface unlocked"
+
+
+def test_carrier_loss_cleanup_skips_a_rule_removed_by_hand():
+    scenario = OneLabScenario(seed=3)
+    umts = scenario.umts_command()
+    assert umts.start_blocking().ok
+    scenario.napoli.stack.iptables.run("-t filter -F OUTPUT")
+    scenario.operator.drop_call(scenario.operator.calls[0], "coverage lost")
+    scenario.sim.run(until=scenario.sim.now + 5.0)
+    backend = scenario.napoli.umts_backend
+    assert not backend.isolation.active
+    assert not backend.lock.locked
+    events = [message for _, message in backend.events]
+    assert events[-3:] == [
+        "cleanup: skipped, already gone: no rule matching spec in filter/OUTPUT: "
+        "-o ppp0 -m xid ! --xid 510 -j DROP",
+        "cleanup: rules removed after 'carrier lost'",
+        "cleanup: lock of unina_umts force-released after 'carrier lost'",
+    ]

@@ -95,7 +95,7 @@ class TestParseErrors:
 #: records and the typed call that carries it out.
 SRC_RULE_TEARDOWN = (
     '        self.stack.ip.record(f"rule del pref {PREF_SRC_RULE}")\n'
-    "        self.stack.ip.rule_del(pref=PREF_SRC_RULE)\n"
+    "        _attempt(skipped, self.stack.ip.rule_del, PREF_SRC_RULE)\n"
 )
 
 

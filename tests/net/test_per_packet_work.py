@@ -3,7 +3,10 @@
 Address parsing (``repro.net.addressing.ip``) and the table walk
 (``RoutingTable.lookup``) happen once per configuration change, not
 once per packet: the stack compares address integers, and the RPDB's
-decision cache answers repeated lookups.  So a seed-3 VoIP run makes
+decision cache answers repeated lookups.  No generator process resumes
+per packet either (``Process._resume``): the D-ITG sender is a
+self-rescheduling callback, and a data-mode PPP frame reaches an idle
+serial consumer without a Store hand-off.  So a seed-3 VoIP run makes
 as many of those calls with 4 s flows as with 2 s flows, on either
 path.  Calls are counted by code object under :func:`sys.setprofile`,
 which also counts the ``from repro.net.addressing import ip`` aliases.
@@ -16,9 +19,14 @@ import pytest
 from repro import OneLabScenario, run_characterization, voip_g711
 from repro.net import addressing
 from repro.routing.table import RoutingTable
+from repro.sim.process import Process
 from repro.testbed.experiment import PATH_ETHERNET, PATH_UMTS
 
-COUNTED = {addressing.ip.__code__: "ip", RoutingTable.lookup.__code__: "table_lookup"}
+COUNTED = {
+    addressing.ip.__code__: "ip",
+    RoutingTable.lookup.__code__: "table_lookup",
+    Process._resume.__code__: "process_resume",
+}
 
 
 def per_packet_calls(path, duration):

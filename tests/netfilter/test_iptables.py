@@ -174,6 +174,17 @@ def test_typed_api_append_and_delete(ipt):
     assert ipt.list_rules("filter", "OUTPUT") == []
 
 
+def test_typed_delete_of_a_rule_not_in_the_chain_raises_iptables_error(ipt):
+    from repro.netfilter.chains import Rule
+    from repro.netfilter.matches import OutInterfaceMatch
+    from repro.netfilter.targets import DropTarget
+
+    rule = ipt.append("filter", "OUTPUT", Rule([OutInterfaceMatch("ppp0")], DropTarget()))
+    ipt.flush("filter", "OUTPUT")
+    with pytest.raises(IptablesError, match="rule not in chain OUTPUT: -o ppp0 -j DROP"):
+        ipt.delete("filter", "OUTPUT", rule)
+
+
 def test_policy_on_user_chain_rejected(ipt):
     ipt.netfilter.table("filter").new_chain("custom")
     with pytest.raises(IptablesError):

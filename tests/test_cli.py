@@ -106,7 +106,7 @@ def test_report_jsonl_records(tmp_path):
     assert "engine.dispatch_wall_seconds" not in metrics["metrics"]
     # Pins the profile, phase and metrics records byte for byte (seed 3).
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "eb1fe2137e8276d2151150b32dc117b8a1dbec8902de799c9ca9af24a8626f0f")
+        "26262617e9c2f7508bfbcbc7c6fb3ce483188a031ba1b94ff1a1b98cd18b349b")
 
 
 def test_report_campaign_openmetrics_identical_across_workers(tmp_path):

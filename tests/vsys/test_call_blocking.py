@@ -148,7 +148,7 @@ def test_session_event_count_is_pinned():
     umts = scenario.umts_command()
     replies = [umts._conn.call_blocking(argv) for argv in SESSION]
     assert all(reply.ok for reply in replies)
-    assert scenario.sim.metrics.counter("engine.events_dispatched").value == 150
+    assert scenario.sim.metrics.counter("engine.events_dispatched").value == 138
 
 
 def test_reply_owed_to_an_interrupted_call_is_discarded():

@@ -2,22 +2,27 @@
 
 Usage, from anywhere inside the repository::
 
-    python3 tools/perf_ab.py --base HEAD~1 --workload session_churn --seed 3 \\
-        --pairs 10 --seconds 30
+    python3 tools/perf_ab.py --base HEAD~1 --workload fleet_group --seed 3 \\
+        --seed 11 --pairs 10 --seconds 30
 
-Both sides are unpacked the same way into sibling directories of one
-temporary directory: ``git archive REV`` for the base, and a tar of the
-working tree's tracked files (as they are on disk) for the change, each
-extracted with :mod:`tarfile`.  Then ``perfbench/run.py`` runs unchanged
-in each tree, ``--pairs`` times per side, and the side that runs first
-alternates from pair to pair.  A run that exits non-zero or does not
-report ``"correct": true`` stops the comparison.
+``--workload`` and ``--seed`` may each be given more than once; every
+workload runs at every seed.  Both sides are unpacked once, the same
+way, into sibling directories of one temporary directory: ``git archive
+REV`` for the base, and a tar of the working tree's tracked files (as
+they are on disk) for the change, each extracted with :mod:`tarfile`.
+Then ``perfbench/run.py`` runs unchanged in each tree.  Pair ``i`` of
+every workload × seed runs before pair ``i + 1`` of any, and the side
+that runs first alternates from pair to pair.  A run that exits
+non-zero or does not report ``"correct": true`` stops the comparison.
 
-The summary is one Markdown table row per end-to-end metric, the form
-CHANGES.md records: each side's median [q1, q3], the ratio of medians
-(change / base), the median of the per-pair ratios with their range,
-and the pairs the change won (by the metric's ``better`` direction in
-``BENCHMARK.json``).  ``setup_s`` is shown in milliseconds.
+The summary is one Markdown table, the form CHANGES.md records, with a
+row per workload, seed and end-to-end metric: each side's median
+[q1, q3], the ratio of medians (change / base), the median of the
+per-pair ratios with their range, the pairs the change won (by the
+metric's ``better`` direction in ``BENCHMARK.json``), and whether the
+claim rule holds: the change won at least nine tenths of the pairs and
+its median is better than the base's by more than the base's
+interquartile range.  ``setup_s`` is shown in milliseconds.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ DISPLAY = {"setup_s": ("setup_s (ms)", 1e3)}
 
 HEADER = (
     "| workload | metric | base median [q1, q3] | change median [q1, q3] "
-    "| ratio of medians | median pair ratio (range) | wins |\n"
-    "|---|---|---|---|---|---|---|"
+    "| ratio of medians | median pair ratio (range) | wins | claim rule |\n"
+    "|---|---|---|---|---|---|---|---|"
 )
 
 
@@ -90,17 +95,17 @@ def summary_row(
     base_q = quartiles([v * scale for v in base])
     change_q = quartiles([v * scale for v in change])
     ratios = [c / b for b, c in zip(base, change)]
-    if better == "higher":
-        wins = sum(c > b for b, c in zip(base, change))
-    else:
-        wins = sum(c < b for b, c in zip(base, change))
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    gain = sign * (change_q[1] - base_q[1])
+    claim = wins * 10 >= 9 * len(base) and gain > base_q[2] - base_q[0]
     return (
         f"| {workload} | {label} "
         f"| {fmt(base_q[1])} [{fmt(base_q[0])}, {fmt(base_q[2])}] "
         f"| {fmt(change_q[1])} [{fmt(change_q[0])}, {fmt(change_q[2])}] "
         f"| {statistics.median(change) / statistics.median(base):.3f} "
         f"| {statistics.median(ratios):.3f} ({min(ratios):.3f}–{max(ratios):.3f}) "
-        f"| {wins}/{len(base)} |"
+        f"| {wins}/{len(base)} | {'holds' if claim else 'no'} |"
     )
 
 
@@ -162,8 +167,8 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> Dict[
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", required=True, action="append")
+    parser.add_argument("--seed", type=int, required=True, action="append")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
@@ -171,31 +176,43 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     declared = json.loads((repo / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    cases = [(workload, seed) for workload in args.workload for seed in args.seed]
+    runs: Dict[Tuple[str, int, str], List[Dict[str, float]]] = {
+        (workload, seed, side): [] for workload, seed in cases for side in ("base", "change")
+    }
     scratch = Path(tempfile.mkdtemp(prefix="perf_ab-"))
     try:
         trees = {
             "base": unpack(_git(repo, "archive", "--format=tar", args.base), scratch / "base"),
             "change": unpack(working_tree_tar(repo), scratch / "change"),
         }
-        runs: Dict[str, List[Dict[str, float]]] = {"base": [], "change": []}
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
-                try:
-                    metrics = run_perfbench(trees[side], args.workload, args.seed, args.seconds)
-                except ValueError as exc:
-                    print(f"perf_ab: pair {pair + 1}, {side}: {exc}", file=sys.stderr)
-                    return 1
-                runs[side].append(metrics)
-                shown = ", ".join(f"{k}={fmt(v)}" for k, v in metrics.items())
-                print(f"pair {pair + 1}/{args.pairs} {side}: {shown}", file=sys.stderr)
+            for workload, seed in cases:
+                for side in order:
+                    label = f"{workload} seed={seed} pair {pair + 1}/{args.pairs} {side}"
+                    try:
+                        metrics = run_perfbench(trees[side], workload, seed, args.seconds)
+                    except ValueError as exc:
+                        print(f"perf_ab: {label}: {exc}", file=sys.stderr)
+                        return 1
+                    runs[workload, seed, side].append(metrics)
+                    shown = ", ".join(f"{k}={fmt(v)}" for k, v in metrics.items())
+                    print(f"{label}: {shown}", file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    print(f"{args.workload} seed={args.seed}: {args.base} vs the working tree, "
-          f"{args.pairs} pairs of {args.seconds:g} s")
+    print(f"{args.base} vs the working tree, {args.pairs} pairs of {args.seconds:g} s "
+          "per workload and seed")
     print(HEADER)
-    for row in summarize(args.workload, runs["base"], runs["change"], better):
-        print(row)
+    for workload, seed in cases:
+        rows = summarize(
+            f"{workload}, seed {seed}",
+            runs[workload, seed, "base"],
+            runs[workload, seed, "change"],
+            better,
+        )
+        for row in rows:
+            print(row)
     return 0
 
 

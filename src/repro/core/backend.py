@@ -184,9 +184,11 @@ class UmtsBackend:
 
     def _del(self, slice_name: str, destination: str) -> Tuple[int, List[str]]:
         self.lock.require_owner(slice_name, "del")
-        self.isolation.del_destination(destination)
+        skipped = self.isolation.del_destination(destination)
         self._log(f"del: {destination} for {slice_name}")
-        return 0, [f"umts: rule for {destination} deleted"]
+        lines = [f"umts: skipped, already gone: {detail}" for detail in skipped]
+        lines.append(f"umts: rule for {destination} deleted")
+        return 0, lines
 
     # -- failure cleanup ------------------------------------------------------
 

@@ -19,9 +19,10 @@ facades as the literal command line the real back-end runs, so their
 out as the facade's typed call.  A destination is parsed once, when
 ``umts add`` validates it, and its MARK rule is built from that
 address; ``umts del`` removes the first rule that renders the same, as
-``iptables -D`` does.  Teardown runs every step even when a rule or
-route is already gone (removed by hand, say), as a cleanup script
-carries on past a failing ``iptables -D``.
+``iptables -D`` does.  Teardown (``umts stop``, and ``umts del`` for
+its one rule) runs every step even when a rule or route is already gone
+(removed by hand, say), as a cleanup script carries on past a failing
+``iptables -D``.
 """
 
 from __future__ import annotations
@@ -127,13 +128,20 @@ class IsolationManager:
         if self.active:
             self._install_mark_rule(destination)
 
-    def del_destination(self, destination: str) -> None:
-        """Stop routing ``destination`` via UMTS."""
+    def del_destination(self, destination: str) -> List[str]:
+        """Stop routing ``destination`` via UMTS.
+
+        As in :meth:`remove`, a MARK rule that is already gone is
+        skipped, its line still recorded; the facade's error text is
+        returned (an empty list when the rule went as asked).
+        """
         if destination not in self.destinations:
             raise ValueError(f"destination {destination} was never added")
         del self.destinations[destination]
+        skipped: List[str] = []
         if destination in self._mark_rules:
-            self._remove_mark_rule(destination)
+            _attempt(skipped, self._remove_mark_rule, destination)
+        return skipped
 
     def _install_mark_rule(self, destination: str) -> None:
         assert self.slice_xid is not None

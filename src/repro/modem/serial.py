@@ -49,19 +49,6 @@ def _refuse(frame: PPPFrame) -> bool:
     return False
 
 
-def _waits_alone(store: Store, reader: Optional[Process]) -> bool:
-    """Whether ``reader`` is the one process blocked on the empty
-    ``store``: a put now would hand it the item, and nothing is queued
-    ahead of it."""
-    getters = store._getters
-    return (
-        len(getters) == 1
-        and not store._items
-        and reader is not None
-        and getters[0] == reader._resume
-    )
-
-
 class SerialPort:
     """A bidirectional host↔modem serial line.
 
@@ -108,7 +95,7 @@ class SerialPort:
         self.host_writes += 1
         if (
             isinstance(item, PPPFrame)
-            and _waits_alone(self._to_modem, self._modem_reader)
+            and self._to_modem.waits_alone(self._modem_reader)
             and self._modem_frame(item)
         ):
             return
@@ -164,7 +151,7 @@ class SerialPort:
             return
         if (
             isinstance(item, PPPFrame)
-            and _waits_alone(self._to_host, self._host_reader)
+            and self._to_host.waits_alone(self._host_reader)
             and self._host_frame(item)
         ):
             return

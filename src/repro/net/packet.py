@@ -21,7 +21,7 @@ serialization time and queue occupancy.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.net.addressing import (
     PROTO_ICMP,
@@ -65,7 +65,7 @@ class Packet:
         "mark",
         "xid",
         "sent_at",
-        "meta",
+        "bound_dev",
     )
 
     def __init__(
@@ -107,8 +107,9 @@ class Packet:
         #: simulation time the packet left the sending socket; filled by
         #: the stack so receivers can compute one-way delay exactly.
         self.sent_at: Optional[float] = None
-        #: free-form annotations (e.g. the traffic generator's flow id).
-        self.meta: Dict[str, Any] = {}
+        #: the device a bound socket pins the packet to (``SO_BINDTODEVICE``);
+        #: the stack's route lookup honours it.
+        self.bound_dev: Optional[str] = None
 
     def copy(self) -> "Packet":
         """A deep-enough copy with a fresh uid (payload shared)."""
@@ -125,7 +126,7 @@ class Packet:
         )
         twin.mark = self.mark
         twin.sent_at = self.sent_at
-        twin.meta = dict(self.meta)
+        twin.bound_dev = self.bound_dev
         return twin
 
     def __repr__(self) -> str:

@@ -86,8 +86,7 @@ class UDPSocket:
             payload=payload,
             xid=self.xid,
         )
-        if self.bound_device is not None:
-            packet.meta["bound_dev"] = self.bound_device
+        packet.bound_dev = self.bound_device
         self.stack.send(packet)
         self.tx_packets += 1
         return packet

@@ -231,7 +231,7 @@ class IPStack:
             packet.dst,
             src=None if unspecified else packet.src,
             mark=packet.mark,
-            oif=packet.meta.get("bound_dev"),
+            oif=packet.bound_dev,
         )
         if route is None:
             self.dropped_no_route += 1

@@ -152,6 +152,28 @@ class Store:
         """Pop the next item immediately, or raise ``IndexError``."""
         return self._items.popleft()
 
+    def waits_alone(self, reader: Optional["Process"]) -> bool:
+        """Whether ``reader`` is the one process blocked (untimed) on
+        this empty store: a put now would hand it the item, and nothing
+        is queued ahead of it."""
+        getters = self._getters
+        return (
+            len(getters) == 1
+            and not self._items
+            and reader is not None
+            and getters[0] == reader._resume
+        )
+
+    def put_to(self, reader: Optional["Process"], item: Any) -> None:
+        """:meth:`put`, except that a ``reader`` that :meth:`waits_alone`
+        is resumed with ``item`` in the caller's dispatch instead of on
+        a zero-delay event: the same simulated time, with nothing queued
+        to overtake."""
+        if self.waits_alone(reader):
+            self._getters.popleft()(item)  # ``reader._resume``
+        else:
+            self.put(item)
+
     def _register_getter(self, callback: Callable[[Any], None]) -> None:
         if self._items:
             item = self._items.popleft()
@@ -181,6 +203,18 @@ class Process:
         self._waiting_store: Optional[Store] = None
         self._store_callback: Optional[Callable[[Any], None]] = None
         self._sim.post(0.0, self._resume, None)
+
+    @classmethod
+    def returned(cls, sim: Simulator, value: Any, name: str = "") -> "Process":
+        """A process that has already returned ``value``: nothing is
+        scheduled, and a process yielding on it resumes with ``value``
+        on one zero-delay event, as on any finished process."""
+        process = cls.__new__(cls)
+        process._sim = sim
+        process.name = name
+        process.alive = False
+        process.value = value
+        return process
 
     def interrupt(self, cause: Any = None) -> None:
         """Raise :class:`Interrupt` inside the process at its yield point."""

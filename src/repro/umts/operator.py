@@ -187,9 +187,9 @@ class UmtsOperator:
             call.transport,
             role="server",
             ifname=f"ppp-s{session}",
-            local_address=str(self.ggsn.internal_address),
-            assign_address=str(address),
-            dns1=str(self.ggsn.internal_address),
+            local_address=self.ggsn.internal_address,
+            assign_address=address,
+            dns1=self.ggsn.internal_address,
             rng=self.streams.stream(f"{self.name}.magic.{session}"),
         )
         call.server_pppd = server

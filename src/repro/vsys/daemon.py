@@ -60,30 +60,44 @@ class VsysConnection:
 
         Requests are serialized per connection — real FIFOs interleave
         bytes otherwise — so concurrent calls raise :class:`VsysError`.
+        The request is written at once: an idle back-end serves it in
+        this dispatch, and a reply already on ``.out`` (the handler
+        returned without yielding) comes back as a process that has
+        already returned.  Otherwise a front-end process waits for it.
         ``_stop`` is for :meth:`call_blocking` (see :meth:`_frontend`).
         """
         if self.closed:
             raise VsysError(f"connection to {self.script!r} is closed")
         if self._inflight is not None and self._inflight.alive:
             raise VsysError(f"connection to {self.script!r} is busy")
-        line = " ".join(shlex.quote(arg) for arg in argv)
+        pipe = self.pipe
+        pipe.send_request(" ".join(shlex.quote(arg) for arg in argv))
+        replies = pipe.to_frontend
+        while replies:
+            reply = replies.get_nowait()
+            if self._stale and reply is not EOF:
+                self._stale -= 1
+                continue
+            self._inflight = Process.returned(
+                self._sim, _result(reply), name=f"vsys-call:{self.script}"
+            )
+            return self._inflight
         # The in-flight process is busy from the moment it is spawned,
         # not from when it first runs: two calls issued in the same
         # instant would otherwise both be accepted and interleave.
-        self._inflight = spawn(
-            self._sim, self._frontend(line, _stop), name=f"vsys-call:{self.script}"
+        self._inflight = pipe.frontend = spawn(
+            self._sim, self._frontend(_stop), name=f"vsys-call:{self.script}"
         )
         return self._inflight
 
-    def _frontend(self, line: str, stop: bool) -> Generator[Any, Any, VsysResult]:
-        """Write the request, then resume once with the whole reply.
+    def _frontend(self, stop: bool) -> Generator[Any, Any, VsysResult]:
+        """Resume once with the whole reply.
 
         With ``stop`` the process ends :meth:`call_blocking`'s engine
         walk in the very dispatch in which it returns (or is interrupted).
         Replies owed to interrupted calls come first and are discarded;
         an EOF among them still ends the call.
         """
-        self.pipe.send_request(line)
         try:
             reply = yield self.pipe.to_frontend.get()
             while self._stale and reply is not EOF:
@@ -96,15 +110,12 @@ class VsysConnection:
             raise
         if stop:
             self._sim.stop()
-        if reply is EOF:
-            # The pair was torn down under us; surface a clean failure
-            # instead of waiting forever.
-            return VsysResult(1, ["vsys: connection closed"])
-        return VsysResult(*reply)
+        return _result(reply)
 
     def call_blocking(self, argv: List[str]) -> VsysResult:
         """Test/example convenience: issue a call and run the simulator
-        until it completes.  Must not be used from inside a running
+        until it completes (no walk at all when :meth:`call` returns a
+        finished process).  Must not be used from inside a running
         simulation — yield on :meth:`call`'s process there instead.
         Another callback's ``stop()`` only pauses the walk."""
         process = self.call(argv, _stop=True)
@@ -177,7 +188,7 @@ class VsysDaemon:
             )
         pipe = FifoPair(self._sim, f"{self.node_name}/vsys/{script}:{slice_name}")
         handler = self._scripts[script]
-        spawn(
+        pipe.backend = spawn(
             self._sim,
             self._backend_loop(pipe, slice_name, script, handler),
             name=f"vsys-backend:{script}:{slice_name}",
@@ -228,6 +239,14 @@ class VsysDaemon:
                     self._sim.now - started_at
                 )
             pipe.send_reply(code, lines)
+
+
+def _result(reply: Any) -> VsysResult:
+    """The result of one reply item; EOF (the pair was torn down under
+    the call) is a clean failure instead of a wait forever."""
+    if reply is EOF:
+        return VsysResult(1, ["vsys: connection closed"])
+    return VsysResult(*reply)
 
 
 def _parse_request(line: Any) -> List[str]:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, List, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.process import Store
+from repro.sim.process import Process, Store
 
 #: Sentinel object closing a pipe (the writer's EOF).
 EOF = object()
@@ -26,6 +26,12 @@ class FifoPair:
     line of a reply can be lost, drawn one by one in order.  The exit
     code and EOF are never faultable — their loss would model a kernel
     bug, not an I/O hazard, and would wedge the peer forever.
+
+    A write that finds its reader (:attr:`backend` for requests,
+    :attr:`frontend` for replies) blocked alone on the empty pipe
+    resumes it in the writer's dispatch instead of on a zero-delay
+    event (:meth:`~repro.sim.process.Store.put_to`): the same
+    simulated time, and nothing queued to overtake.
     """
 
     def __init__(self, sim: Simulator, name: str = ""):
@@ -33,6 +39,10 @@ class FifoPair:
         self.name = name
         self.to_backend = Store(sim, f"{name}.in")
         self.to_frontend = Store(sim, f"{name}.out")
+        #: the back-end loop reading ``.in`` and the front-end process
+        #: waiting on ``.out``, once their owners set them.
+        self.backend: Optional[Process] = None
+        self.frontend: Optional[Process] = None
         self.closed = False
         self.truncated_requests = 0
         self.dropped_responses = 0
@@ -44,7 +54,7 @@ class FifoPair:
             if faults is not None and faults.fire("vsys", "truncate_request"):
                 self.truncated_requests += 1
                 line = line[: max(1, len(line) // 2)]
-        self.to_backend.put(line)
+        self.to_backend.put_to(self.backend, line)
 
     def send_reply(self, code: int, lines: List[Any]) -> None:
         """Back-end → front-end as one item, through the fault layer."""
@@ -56,7 +66,7 @@ class FifoPair:
                 self.dropped_responses += 1
             else:
                 kept.append(line)
-        self.to_frontend.put((code, kept))
+        self.to_frontend.put_to(self.frontend, (code, kept))
 
     def close(self) -> None:
         """Close the pair: both endpoints see EOF and exit."""

@@ -366,3 +366,28 @@ def test_carrier_loss_cleanup_skips_a_rule_removed_by_hand():
         "cleanup: rules removed after 'carrier lost'",
         "cleanup: lock of unina_umts force-released after 'carrier lost'",
     ]
+
+
+def test_del_skips_a_mark_rule_flushed_by_hand():
+    """``umts del`` treats a MARK rule already flushed by hand as
+    ``umts stop`` does: the step is skipped and named, the reply is
+    exit 0 and the destination is forgotten."""
+    scenario = OneLabScenario(seed=3)
+    umts = scenario.umts_command()
+    assert umts.start_blocking().ok
+    assert umts.add_destination_blocking("138.96.250.100").ok
+    stack = scenario.napoli.stack
+    stack.iptables.run("-t mangle -F OUTPUT")
+    deleted = umts.del_destination_blocking("138.96.250.100")
+    assert deleted.ok, deleted.text
+    assert deleted.lines == [
+        "umts: skipped, already gone: no rule matching spec in mangle/OUTPUT: "
+        "-m xid --xid 510 -d 138.96.250.100/32 -j MARK --set-mark 0x1",
+        "umts: rule for 138.96.250.100 deleted",
+    ]
+    assert stack.iptables.history[-1] == (
+        "-t mangle -D OUTPUT -m xid --xid 510 -d 138.96.250.100 -j MARK --set-mark 0x1"
+    )
+    status = umts.status_blocking()
+    assert status.ok
+    assert not any(line.startswith("destinations:") for line in status.lines)

@@ -50,16 +50,16 @@ def test_nonpositive_ttl_rejected():
 def test_copy_preserves_fields_but_not_uid():
     p = Packet("10.0.0.2", src="10.0.0.1", size=10, sport=1, dport=2, xid=7)
     p.mark = 3
-    p.meta["flow"] = 42
+    p.bound_dev = "ppp0"
     twin = p.copy()
     assert twin.uid != p.uid
     assert twin.dst == p.dst
     assert twin.src == p.src
     assert twin.mark == 3
     assert twin.xid == 7
-    assert twin.meta == {"flow": 42}
-    twin.meta["flow"] = 1
-    assert p.meta["flow"] == 42
+    assert twin.bound_dev == "ppp0"
+    twin.bound_dev = None
+    assert p.bound_dev == "ppp0"
 
 
 def test_repr_mentions_endpoints():

@@ -106,7 +106,7 @@ def test_report_jsonl_records(tmp_path):
     assert "engine.dispatch_wall_seconds" not in metrics["metrics"]
     # Pins the profile, phase and metrics records byte for byte (seed 3).
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "26262617e9c2f7508bfbcbc7c6fb3ce483188a031ba1b94ff1a1b98cd18b349b")
+        "6d715b6aac6db902709ac0e8618d0214d997a4a1040218a47a207e4e7a012e40")
 
 
 def test_report_campaign_openmetrics_identical_across_workers(tmp_path):
